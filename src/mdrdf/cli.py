@@ -173,16 +173,18 @@ def _spectra_csv(spectrum: Spectrum, point: RdfPoint, manifest: dict) -> str:
         )
     ds = tp + tm
     dc = S * tp / (S - tm)
+    # 17 significant digits read back bit-exact, so a reloaded noise pair
+    # stays inside the triangle tp <= tm <= S/2 that simulate checks
     for k in range(spectrum.grid_size):
         writer.writerow(
             [
-                f"{om[k]:.10g}",
-                f"{S[k]:.10g}",
-                f"{tp[k]:.10g}",
-                f"{tm[k]:.10g}",
-                f"{ds[k]:.10g}",
-                f"{dc[k]:.10g}",
-                f"{rate_b[k]:.10g}",
+                f"{om[k]:.17g}",
+                f"{S[k]:.17g}",
+                f"{tp[k]:.17g}",
+                f"{tm[k]:.17g}",
+                f"{ds[k]:.17g}",
+                f"{dc[k]:.17g}",
+                f"{rate_b[k]:.17g}",
                 int(bound[k]),
             ]
         )
@@ -210,8 +212,8 @@ def _load_spectra_csv(path: str) -> tuple[Spectrum, NoiseSpectra]:
     )
 
 
-def _add_spectrum_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--spectrum", required=True, help="flat:VAR | cosine | ar:A1,..:VAR | table:PATH")
+def _add_spectrum_args(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--spectrum", required=required, help="flat:VAR | cosine | ar:A1,..:VAR | table:PATH")
     p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     p.add_argument("--regularize-eps", type=float, default=1e-9)
 
@@ -260,8 +262,7 @@ def _cmd_sweep(args, argv) -> int:
     spectrum, _ = _prepare_spectrum(args)
     grid1 = _parse_grid(args.lambda1_grid)
     grid2 = _parse_grid(args.lambda2_grid)
-    workers = int(os.environ.get("MDRDF_THREADS", "1"))
-    points = sweep(spectrum, grid1, grid2, max_workers=workers)
+    points = sweep(spectrum, grid1, grid2)
     manifest = _manifest(argv, None)
     out = io.StringIO()
     out.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\r\n")
@@ -287,8 +288,8 @@ def _cmd_simulate(args, argv) -> int:
         spectrum, noise = _load_spectra_csv(args.spectra)
         d_eps = 0.0
     else:
-        if args.lambda1 is None or args.lambda2 is None:
-            raise ConfigError("simulate needs --lambda1/--lambda2 or --spectra CSV")
+        if args.spectrum is None or args.lambda1 is None or args.lambda2 is None:
+            raise ConfigError("simulate needs --spectrum with --lambda1/--lambda2, or --spectra CSV")
         if args.lambda1 <= 0 or args.lambda2 <= 0:
             raise ConfigError("lambda1 and lambda2 must be positive")
         spectrum, d_eps = _prepare_spectrum(args)
@@ -361,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("simulate", help="run the time-domain coding simulation")
-    _add_spectrum_args(p)
+    _add_spectrum_args(p, required=False)
     p.add_argument("--lambda1", type=float)
     p.add_argument("--lambda2", type=float)
     p.add_argument("--spectra", help="per-frequency CSV from solve/fit")

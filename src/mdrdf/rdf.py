@@ -2,8 +2,9 @@
 
 evaluate() sweeps the closed-form per-frequency solver across the grid and
 integrates rate and distortions by the midpoint rule; fit_lambdas() inverts
-the map from multipliers to distortions; sweep() tabulates operating points
-for CSV emission.
+the map from multipliers to distortions, returning the exact edge point
+with one zero multiplier when a distortion constraint is slack; sweep()
+tabulates operating points for CSV emission.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from .spectra import Spectrum
 from .spectral_solver import LagrangePair, solve_spectrum
 from .white_md import DistortionPair, ThetaPair
 
-FIT_BOUNDS = (1e-4, 1e4)
-FIT_COARSE_GRID = 24
-FIT_REFINE_ROUNDS = 3
+# clamp of the equality root-find's multipliers
+FIT_BOUNDS = (1e-8, 1e8)
 
 
 @dataclass(frozen=True)
@@ -94,46 +94,47 @@ def sweep(
     spectrum: Spectrum,
     lambda1_values: Sequence[float],
     lambda2_values: Sequence[float],
-    max_workers: int | None = None,
 ) -> list[RdfPoint]:
     """evaluate() over the product grid of multipliers, row-major in lambda1."""
-    pairs = [
-        LagrangePair(l1, l2) for l1 in lambda1_values for l2 in lambda2_values
+    return [
+        evaluate(spectrum, LagrangePair(l1, l2))
+        for l1 in lambda1_values
+        for l2 in lambda2_values
     ]
-    if max_workers is None or max_workers <= 1 or len(pairs) < 4:
-        return [evaluate(spectrum, lam) for lam in pairs]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda lam: evaluate(spectrum, lam), pairs))
 
 
-def _distortions(spectrum: Spectrum, l1: float, l2: float):
-    pt = evaluate(spectrum, LagrangePair(l1, l2))
-    return pt.d_side, pt.d_central
+def _water_level(values: NDArray[np.float64], target: float) -> float:
+    """Level t with mean(min(t, values)) == target over sorted values.
+
+    Returns the largest value once target reaches the mean of values.
+    """
+    n = values.size
+    below = np.concatenate(([0.0], np.cumsum(values)[:-1]))  # sum of values[:k]
+    reach = (below + (n - np.arange(n)) * values) / n  # mean(min(values[k], values))
+    k = int(np.searchsorted(reach, target))
+    if k == n:
+        return float(values[-1])
+    return float((n * target - below[k]) / (n - k))
 
 
-def _point(spectrum: Spectrum, l1: float, l2: float):
-    pt = evaluate(spectrum, LagrangePair(l1, l2))
-    return pt.d_side, pt.d_central, pt.rate
+def fit_lambdas(spectrum: Spectrum, target: DistortionPair, tol: float = 1e-6) -> RdfPoint:
+    """Find the minimum-rate multiplier pair for the distortion targets.
 
+    By KKT a slack constraint has a zero multiplier, and on each slack
+    edge the optimum is a single reverse water level on S/2:
 
-def fit_lambdas(
-    spectrum: Spectrum,
-    target: DistortionPair,
-    tol: float = 1e-6,
-    bounds: tuple[float, float] = FIT_BOUNDS,
-    coarse: int = FIT_COARSE_GRID,
-) -> RdfPoint:
-    """Find the multiplier pair whose distortions meet the targets.
+        lambda2 = 0:  tp = tm = min(w, S/2),       lambda1 = 1/(4 w)
+        lambda1 = 0:  tm = S/2, tp = min(v, S/2),  lambda2 = 1/(8 v)
 
-    A Newton-type root-find on log-multipliers solves the equality system
-    (D_S, D_C) = targets, seeded by the stationarity inversion at the
-    average power and, failing that, by the best points of a coarse log
-    grid. When the targets cannot both be active (one constraint slack),
-    falls back to coordinate bisection on the active constraint and
-    finally to grid refinement, returning the minimum-rate point whose
-    distortions do not exceed the targets.
+    w puts D_S at its target on the first edge, where the rate is the
+    single-description R(D_S); v puts D_C at its target on the second,
+    where twice the rate is R(D_C). Neither rate can be beaten, so when
+    the first point also has D_C <= dc, or the second D_S <= ds (each
+    within tol), that edge point is returned with one multiplier exactly
+    0. Otherwise both constraints are active, and a Newton root-find on
+    log-multipliers solves (D_S, D_C) = targets, started from the
+    stationarity inversion at the average power and then from three
+    seeds built from w and v.
     """
     sigma2 = spectrum.variance
     ds, dc = target.d_side, target.d_central
@@ -142,58 +143,27 @@ def fit_lambdas(
     if ds > sigma2 * (1.0 + 1e-9):
         raise TargetInfeasible(f"D_S={ds} exceeds the source variance {sigma2}")
 
-    lo, hi = bounds
-    # zero-rate target: the corner solution is exact for any tiny multipliers
-    if ds >= sigma2 * (1.0 - 1e-12) and dc >= sigma2 * (1.0 - 1e-12):
-        pt = evaluate(spectrum, LagrangePair(lo, lo))
-        if pt.d_side <= ds + tol and pt.d_central <= dc + tol:
-            return pt
+    half = np.sort(0.5 * spectrum.values)
+    w = _water_level(half, 0.5 * ds)
+    t = np.minimum(w, half)
+    if float(np.mean(2.0 * half * t / (2.0 * half - t))) <= dc + tol:
+        return evaluate(spectrum, LagrangePair(0.25 / w, 0.0))
+    v = _water_level(half, 0.5 * dc)
+    if float(np.mean(half + np.minimum(v, half))) <= ds + tol:
+        return evaluate(spectrum, LagrangePair(0.0, 0.125 / v))
 
-    # the stationarity-inversion seed alone usually converges; the coarse
-    # grid is the documented fallback for everything else
-    direct = _analytic_seed(sigma2, ds, dc, bounds)
-    if direct is not None:
-        pt = _newton_fit(spectrum, ds, dc, direct, tol, bounds)
+    l1, l2 = 0.25 / w, 0.125 / v  # the two edge points' multipliers
+    for seed in (_analytic_seed(sigma2, ds, dc), (l1, 1e-3 * l1), (l1, l2), (1e-3 * l2, l2)):
+        pt = None if seed is None else _newton_fit(spectrum, ds, dc, seed, tol)
         if pt is not None:
             return pt
-
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), coarse))
-    scored: list[tuple[float, float, float]] = []  # (miss, l1, l2)
-    feasible: list[tuple[float, float, float]] = []  # (rate, l1, l2)
-    for l1 in grid:
-        for l2 in grid:
-            got_ds, got_dc, got_rate = _point(spectrum, l1, l2)
-            miss = abs(math.log(max(got_ds, 1e-300) / ds)) + abs(
-                math.log(max(got_dc, 1e-300) / dc)
-            )
-            scored.append((miss, l1, l2))
-            if got_ds <= ds + tol and got_dc <= dc + tol:
-                feasible.append((got_rate, l1, l2))
-
-    for seed in _newton_seeds(sigma2, ds, dc, scored, bounds):
-        pt = _newton_fit(spectrum, ds, dc, seed, tol, bounds)
-        if pt is not None:
-            return pt
-    pt, slack = _bisection_fit(spectrum, ds, dc, tol, bounds)
-    if pt is not None and not slack:
-        return pt
-    if pt is not None:
-        feasible.append((pt.rate, pt.lambdas.lambda1, pt.lambdas.lambda2))
-    # targets with a slack constraint: minimum-rate feasible point
-    refined = _grid_refine_fit(spectrum, ds, dc, tol, bounds, feasible, coarse)
-    if refined is not None:
-        return refined
-    if not feasible:
-        raise TargetInfeasible(
-            f"no multiplier pair within {bounds} achieves D <= ({ds}, {dc})"
-        )
     raise NoConvergence(f"fit stalled above tol={tol} for targets ({ds}, {dc})")
 
 
-def _analytic_seed(sigma2, ds, dc, bounds):
+def _analytic_seed(sigma2, ds, dc):
     """Invert the per-frequency stationarity conditions at the average
     power sigma2; exact for white spectra, a good start elsewhere."""
-    lo, hi = bounds
+    lo, hi = FIT_BOUNDS
     if sigma2 <= dc:
         return None
     tm = sigma2 * (ds - dc) / (sigma2 - dc)
@@ -209,29 +179,10 @@ def _analytic_seed(sigma2, ds, dc, bounds):
     return min(max(l1, lo), hi), min(max(l2, lo), hi)
 
 
-def _newton_seeds(sigma2, ds, dc, scored, bounds):
-    """Starting points for the equality root-find: the stationarity
-    inversion first, then the best coarse-grid points, skipping
-    near-duplicates."""
-    seeds: list[tuple[float, float]] = []
-    direct = _analytic_seed(sigma2, ds, dc, bounds)
-    if direct is not None:
-        seeds.append(direct)
-    for _, l1, l2 in sorted(scored)[: 3 * len(scored) // 4]:
-        if len(seeds) >= 4:
-            break
-        if any(
-            abs(math.log(l1 / a)) + abs(math.log(l2 / b)) < 2.0 for a, b in seeds
-        ):
-            continue
-        seeds.append((l1, l2))
-    return seeds
-
-
-def _newton_fit(spectrum, ds, dc, seed, tol, bounds):
+def _newton_fit(spectrum, ds, dc, seed, tol):
     from scipy import optimize
 
-    lo, hi = bounds
+    lo, hi = FIT_BOUNDS
 
     # soft clamp: keeps exp() finite without flattening the Jacobian at the
     # search bounds the way a hard clamp would
@@ -240,10 +191,10 @@ def _newton_fit(spectrum, ds, dc, seed, tol, bounds):
     def residual(u):
         l1 = math.exp(min(max(u[0], u_lo), u_hi))
         l2 = math.exp(min(max(u[1], u_lo), u_hi))
-        got_ds, got_dc = _distortions(spectrum, l1, l2)
+        pt = evaluate(spectrum, LagrangePair(l1, l2))
         return [
-            math.log(max(got_ds, 1e-300) / ds),
-            math.log(max(got_dc, 1e-300) / dc),
+            math.log(max(pt.d_side, 1e-300) / ds),
+            math.log(max(pt.d_central, 1e-300) / dc),
         ]
 
     sol = optimize.root(
@@ -253,71 +204,5 @@ def _newton_fit(spectrum, ds, dc, seed, tol, bounds):
     l2 = math.exp(min(max(sol.x[1], math.log(lo)), math.log(hi)))
     pt = evaluate(spectrum, LagrangePair(l1, l2))
     if abs(pt.d_side - ds) <= tol and abs(pt.d_central - dc) <= tol:
-        return pt
-    return None
-
-
-def _bisection_fit(spectrum, ds, dc, tol, bounds, max_rounds: int = 40):
-    """Alternate 1-D bisections: lambda1 drives D_S down, lambda2 drives D_C.
-
-    Each distortion is empirically nonincreasing in its own multiplier. A
-    constraint whose target exceeds the largest achievable value clamps
-    its multiplier at the lower search bound and is carried as a slack
-    inequality (the parametrized family only attains it in the limit).
-    """
-    lo, hi = bounds
-    l1, l2 = 1.0, 1.0
-
-    def bisect(get, want):
-        a, b = lo, hi
-        da, db = get(a), get(b)
-        if want >= da:
-            return a, True  # slack even at the smallest multiplier
-        if want <= db:
-            return b, True  # out of reach at the largest multiplier
-        for _ in range(200):
-            m = math.sqrt(a * b)
-            dm = get(m)
-            if abs(dm - want) <= 0.05 * tol:
-                return m, False
-            if dm > want:
-                a = m
-            else:
-                b = m
-        return math.sqrt(a * b), False
-
-    for _ in range(max_rounds):
-        l1, slack1 = bisect(lambda l: _distortions(spectrum, l, l2)[0], ds)
-        l2, slack2 = bisect(lambda l: _distortions(spectrum, l1, l)[1], dc)
-        got_ds, got_dc = _distortions(spectrum, l1, l2)
-        ds_ok = abs(got_ds - ds) <= tol or (slack1 and got_ds <= ds + tol)
-        dc_ok = abs(got_dc - dc) <= tol or (slack2 and got_dc <= dc + tol)
-        if ds_ok and dc_ok:
-            return evaluate(spectrum, LagrangePair(l1, l2)), (slack1 or slack2)
-    return None, False
-
-
-def _grid_refine_fit(spectrum, ds, dc, tol, bounds, feasible, coarse):
-    """Zoomed grid search; minimum rate, then minimum lambda1 + lambda2."""
-    lo, hi = bounds
-    if not feasible:
-        return None
-    best = min(feasible, key=lambda p: (p[0], p[1] + p[2]))
-    span = (math.log(hi) - math.log(lo)) / (coarse - 1)
-    for _ in range(FIT_REFINE_ROUNDS):
-        c1, c2 = math.log(best[1]), math.log(best[2])
-        g1 = np.exp(np.linspace(c1 - span, c1 + span, coarse))
-        g2 = np.exp(np.linspace(c2 - span, c2 + span, coarse))
-        for l1 in g1:
-            for l2 in g2:
-                if not (lo <= l1 <= hi and lo <= l2 <= hi):
-                    continue
-                got_ds, got_dc, got_rate = _point(spectrum, l1, l2)
-                if got_ds <= ds + tol and got_dc <= dc + tol:
-                    if (got_rate, l1 + l2) < (best[0], best[1] + best[2]):
-                        best = (got_rate, l1, l2)
-        span /= coarse / 2.0
-    pt = evaluate(spectrum, LagrangePair(best[1], best[2]))
-    if pt.d_side <= ds + tol and pt.d_central <= dc + tol:
         return pt
     return None

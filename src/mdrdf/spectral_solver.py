@@ -1,7 +1,7 @@
 """Per-frequency closed-form minimization of the two-multiplier objective.
 
-For a source power S at one frequency and positive multipliers
-(lambda1, lambda2), the objective
+For a source power S at one frequency and nonnegative multipliers
+(lambda1, lambda2), not both zero, the objective
 
     L = (1/2) log( S / (2 sqrt(tp tm)) ) + lambda1 (tp + tm)
         + lambda2 S tp / (S - tm)
@@ -46,14 +46,19 @@ CORNER_SNAP_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class LagrangePair:
-    """Strictly positive rate-distortion trade-off multipliers."""
+    """Nonnegative rate-distortion trade-off multipliers, not both zero.
+
+    A zero multiplier marks its distortion constraint as slack: lambda1 = 0
+    for the side constraint, lambda2 = 0 for the central one.
+    """
 
     lambda1: float
     lambda2: float
 
     def __post_init__(self):
-        if not (self.lambda1 > 0.0 and self.lambda2 > 0.0):
-            raise ValueError("both multipliers must be strictly positive")
+        l1, l2 = self.lambda1, self.lambda2
+        if not (l1 >= 0.0 and l2 >= 0.0 and l1 + l2 > 0.0):
+            raise ValueError("multipliers must be nonnegative and not both zero")
 
 
 @dataclass(frozen=True)
@@ -75,12 +80,15 @@ class CubicDiagnostics:
 
 @dataclass(frozen=True)
 class FrequencySolution:
-    """Optimal noise pair at one frequency, with solver diagnostics."""
+    """Optimal noise pair at one frequency, with solver diagnostics.
+
+    diagnostics is None at lambda1 = 0, where there is no cubic.
+    """
 
     theta_plus: float
     theta_minus: float
     on_boundary: bool
-    diagnostics: CubicDiagnostics
+    diagnostics: Optional[CubicDiagnostics]
 
 
 def cubic_coeffs(S, lam: LagrangePair):
@@ -249,26 +257,6 @@ def _psi_array(S, lam: LagrangePair):
     return _newton_step(psi, a2, a1, a0)
 
 
-def stationary_psi(S: float, lam: LagrangePair) -> Optional[float]:
-    """Unique stationary tm inside the triangle, or None when absent.
-
-    Returns None when the selected root leaves [0, S/2] or induces a
-    tp outside [0, tm].
-    """
-    psi = float(_psi_array(S, lam))
-    half = 0.5 * S
-    if not (0.0 < psi <= half * (1.0 + CORNER_SNAP_RTOL)):
-        return None
-    psi = min(psi, half)
-    denom = 4.0 * S * (lam.lambda1 + lam.lambda2) - 4.0 * lam.lambda1 * psi
-    if denom <= 0.0:
-        return None
-    tp = (S - psi) / denom
-    if not (-CORNER_SNAP_RTOL * half <= tp <= psi * (1.0 + 1e-9)):
-        return None
-    return psi
-
-
 def theta_plus_of_psi(S: float, lam: LagrangePair, psi: float) -> float:
     """tp = (S - psi) / (4 S (lambda1 + lambda2) - 4 lambda1 psi)."""
     denom = 4.0 * S * (lam.lambda1 + lam.lambda2) - 4.0 * lam.lambda1 * psi
@@ -277,11 +265,6 @@ def theta_plus_of_psi(S: float, lam: LagrangePair, psi: float) -> float:
             f"nonpositive denominator {denom}; psi={psi} inconsistent with lambdas"
         )
     return (S - psi) / denom
-
-
-def in_support(S: float, lam: LagrangePair, psi: float) -> bool:
-    """Support-set membership: 2 lambda1 S + 8 lambda2 psi > 1."""
-    return 2.0 * lam.lambda1 * S + 8.0 * lam.lambda2 * psi > 1.0
 
 
 def solve_frequency(S: float, lam: LagrangePair) -> FrequencySolution:
@@ -294,21 +277,27 @@ def solve_frequency(S: float, lam: LagrangePair) -> FrequencySolution:
     if S <= 0.0:
         raise DomainError("S must be positive")
     tp, tm, boundary = solve_spectrum(np.array([S], dtype=np.float64), lam)
-    return FrequencySolution(
-        float(tp[0]), float(tm[0]), bool(boundary[0]), discriminant(S, lam)
-    )
+    diag = discriminant(S, lam) if lam.lambda1 > 0.0 else None
+    return FrequencySolution(float(tp[0]), float(tm[0]), bool(boundary[0]), diag)
 
 
 def solve_spectrum(S_values: NDArray[np.float64], lam: LagrangePair):
     """Optimal noise pairs over an array of source powers.
 
-    Returns (theta_plus, theta_minus, on_boundary) arrays.
+    Returns (theta_plus, theta_minus, on_boundary) arrays. At lambda1 = 0
+    the cubic does not exist (its coefficients divide by lambda1^2) and
+    the closed form tm = S/2, tp = min(1/(8 lambda2), S/2) is used. At
+    lambda2 = 0 the cubic is (x - w)(x - S)^2 with w = 1/(4 lambda1), and
+    its smallest root gives tp = tm = min(w, S/2).
     """
     S = np.asarray(S_values, dtype=np.float64)
     if np.any(S <= 0.0):
         raise DomainError("source spectrum must be strictly positive")
     l1, l2 = lam.lambda1, lam.lambda2
     half = 0.5 * S
+    if l1 == 0.0:
+        interior = 0.125 / l2 < half * (1.0 - CORNER_SNAP_RTOL)
+        return np.where(interior, 0.125 / l2, half), half, ~interior
     psi = _psi_array(S, lam)
 
     valid = (psi > 0.0) & (psi <= half * (1.0 + CORNER_SNAP_RTOL))

@@ -142,23 +142,6 @@ class TestSweepCommand:
         )
         assert code == 2
 
-    def test_thread_cap_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("MDRDF_THREADS", "2")
-        out_csv = tmp_path / "sweep.csv"
-        code, _, _ = run_cli(
-            [
-                "sweep",
-                "--spectrum", "flat:1",
-                "--grid-size", "128",
-                "--lambda1-grid", "0.2:5:3",
-                "--lambda2-grid", "0.2:5:3",
-                "--out", str(out_csv),
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert len(out_csv.read_text().splitlines()) == 2 + 9
-
 
 class TestSimulateCommand:
     def test_simulate_from_lambdas(self, capsys, tmp_path, monkeypatch):
@@ -219,6 +202,66 @@ class TestSimulateCommand:
 
     def test_missing_lambdas_exit_2(self, capsys):
         code, _, _ = run_cli(["simulate", "--spectrum", "flat:1"], capsys)
+        assert code == 2
+
+    def test_readme_round_trip(self, capsys, tmp_path):
+        # the worked example's zero-rate bins must read back inside the
+        # triangle, or simulate rejects the CSV with exit 3
+        spectra_csv = tmp_path / "spectra.csv"
+        code, _, _ = run_cli(
+            [
+                "solve",
+                "--spectrum", "cosine",
+                "--lambda1", "0.238",
+                "--lambda2", "2.70",
+                "--out", str(tmp_path / "point.json"),
+                "--csv", str(spectra_csv),
+            ],
+            capsys,
+        )
+        assert code == 0
+        code, _, err = run_cli(
+            [
+                "simulate",
+                "--spectrum", "cosine",
+                "--spectra", str(spectra_csv),
+                "--structure", "channel",
+                "--samples", str(1 << 16),
+            ],
+            capsys,
+        )
+        assert code == 0, err
+
+    def test_spectra_without_spectrum(self, capsys, tmp_path):
+        spectra_csv = tmp_path / "spectra.csv"
+        code, _, _ = run_cli(
+            [
+                "solve",
+                "--spectrum", "flat:1",
+                "--grid-size", "512",
+                "--lambda1", "1.0",
+                "--lambda2", "1.0",
+                "--out", str(tmp_path / "pt.json"),
+                "--csv", str(spectra_csv),
+            ],
+            capsys,
+        )
+        assert code == 0
+        code, out, _ = run_cli(
+            [
+                "simulate",
+                "--spectra", str(spectra_csv),
+                "--structure", "channel",
+                "--samples", str(1 << 16),
+                "--welch", "1024",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["result"]["d_side_1"] > 0
+
+    def test_neither_spectrum_nor_spectra_exit_2(self, capsys):
+        code, _, _ = run_cli(["simulate", "--lambda1", "1", "--lambda2", "1"], capsys)
         assert code == 2
 
 

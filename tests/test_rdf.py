@@ -17,7 +17,8 @@ from mdrdf import (
     theta_to_distortions,
 )
 from mdrdf.errors import DomainError, TargetInfeasible
-from mdrdf.rdf import rate_density
+from mdrdf.rdf import _analytic_seed, rate_density
+from mdrdf.spectral_solver import solve_spectrum
 
 
 class TestEvaluate:
@@ -121,6 +122,33 @@ class TestFit:
         assert pt.d_side <= 0.5 + 1e-6
         assert pt.d_central <= 0.45 + 1e-6
 
+    @pytest.mark.parametrize(
+        "source, target, slack, want",
+        [
+            # side slack: the lambda1 = 0 point with D_C = 0.2 has D_S = 1/2 + 0.2/2
+            ("cosine", (0.9, 0.2), "lambda1", (0.6, 0.2)),
+            # central slack: tp = tm = 1/4 gives D_S = 1/2 and D_C = 1/3
+            ("flat", (0.5, 0.45), "lambda2", (0.5, 1.0 / 3.0)),
+        ],
+    )
+    def test_slack_target_returns_edge_point(self, cosine, source, target, slack, want):
+        spectrum = cosine if source == "cosine" else flat_spectrum(1.0, 128)
+        pt = fit_lambdas(spectrum, DistortionPair(*target))
+        assert getattr(pt.lambdas, slack) == 0.0
+        assert abs(pt.d_side - want[0]) <= 1e-12
+        assert abs(pt.d_central - want[1]) <= 1e-12
+
+    @pytest.mark.parametrize("source, u, v", [("cosine", 0.15, 0.09), ("ar1", 0.1, 0.07)])
+    def test_equality_target_without_analytic_seed(self, cosine, ar1, source, u, v):
+        # (D_S, D_C) = (u, v) times the variance; no stationarity-inversion seed
+        spectrum = cosine if source == "cosine" else ar1
+        ds, dc = u * spectrum.variance, v * spectrum.variance
+        assert _analytic_seed(spectrum.variance, ds, dc) is None
+        tol = 1e-6
+        pt = fit_lambdas(spectrum, DistortionPair(ds, dc), tol=tol)
+        assert abs(pt.d_side - ds) <= tol
+        assert abs(pt.d_central - dc) <= tol
+
     def test_lower_envelope(self, cosine, example1_point):
         # no multiplier pair meeting the solved point's distortions beats its rate
         target_ds = example1_point.d_side
@@ -134,6 +162,30 @@ class TestFit:
             pt = evaluate(cosine, lam)
             if pt.d_side <= target_ds + 1e-9 and pt.d_central <= target_dc + 1e-9:
                 assert pt.rate >= fitted.rate - 1e-6
+
+
+class TestSlackEdges:
+    @pytest.mark.parametrize(
+        "lambdas, tp, tm",
+        [
+            # lambda1 = 0: tm = S/2, tp = min(1/(8 lambda2), S/2)
+            ((0.0, 0.5), lambda S: np.minimum(0.25, S / 2), lambda S: S / 2),
+            # lambda2 = 0: tp = tm = min(1/(4 lambda1), S/2)
+            ((0.5, 0.0), lambda S: np.minimum(0.5, S / 2), lambda S: np.minimum(0.5, S / 2)),
+        ],
+        ids=["lambda1=0", "lambda2=0"],
+    )
+    def test_solver_matches_closed_form(self, lambdas, tp, tm):
+        S = np.geomspace(1e-3, 1e3, 241)
+        got_tp, got_tm, boundary = solve_spectrum(S, LagrangePair(*lambdas))
+        assert np.allclose(got_tp, tp(S), rtol=1e-13, atol=0.0)
+        assert np.allclose(got_tm, tm(S), rtol=1e-13, atol=0.0)
+        assert np.array_equal(boundary, got_tp == S / 2)
+
+    @pytest.mark.parametrize("l1, l2", [(0.0, 0.0), (-1.0, 1.0), (1.0, -1e-9), (math.nan, 1.0)])
+    def test_invalid_multipliers(self, l1, l2):
+        with pytest.raises(ValueError):
+            LagrangePair(l1, l2)
 
 
 class TestHighRateApprox:

@@ -16,11 +16,9 @@ from mdrdf.spectral_solver import (
     cubic_roots,
     discriminant,
     discriminant_product_form,
-    in_support,
     lagrangian,
     lagrangian_gradient,
     solve_spectrum,
-    stationary_psi,
     theta_plus_of_psi,
 )
 
@@ -49,11 +47,10 @@ class TestCubicCoefficients:
     def test_admissible_root_satisfies_cubic(self):
         for S, l1, l2 in random_triples(21, 300):
             lam = LagrangePair(l1, l2)
-            psi = stationary_psi(S, lam)
-            if psi is None:
+            sol = solve_frequency(S, lam)
+            if sol.on_boundary:
                 continue
-            diag = discriminant(S, lam)
-            assert rel_residual(diag, psi) < 1e-9
+            assert rel_residual(sol.diagnostics, sol.theta_minus) < 1e-9
 
 
 class TestDiscriminant:
@@ -172,9 +169,9 @@ class TestThetaPlus:
 
 class TestSupportSet:
     def test_always_supported_when_s_large(self):
-        lam = LagrangePair(1.0, 1.0)
-        for psi in (0.0, 0.1, 0.5):
-            assert in_support(1.0, lam, psi)  # 2*1*1 = 2 > 1 already
+        # 2 lambda1 S = 2 > 1 already, whatever lambda2 and the root
+        for l2 in (0.0, 1e-3, 1.0, 1e3):
+            assert not solve_frequency(1.0, LagrangePair(1.0, l2)).on_boundary
 
     def test_example1_zero_rate_band(self, example1_point):
         mask = example1_point.spectra.boundary_mask
