@@ -219,8 +219,6 @@ def _add_spectrum_args(p: argparse.ArgumentParser, required: bool = True) -> Non
 
 
 def _cmd_solve(args, argv) -> int:
-    if args.lambda1 <= 0 or args.lambda2 <= 0:
-        raise ConfigError("lambda1 and lambda2 must be positive")
     spectrum, d_eps = _prepare_spectrum(args)
     point = evaluate(spectrum, LagrangePair(args.lambda1, args.lambda2))
     manifest = _manifest(argv, None)
@@ -290,8 +288,6 @@ def _cmd_simulate(args, argv) -> int:
     else:
         if args.spectrum is None or args.lambda1 is None or args.lambda2 is None:
             raise ConfigError("simulate needs --spectrum with --lambda1/--lambda2, or --spectra CSV")
-        if args.lambda1 <= 0 or args.lambda2 <= 0:
-            raise ConfigError("lambda1 and lambda2 must be positive")
         spectrum, d_eps = _prepare_spectrum(args)
         point = evaluate(spectrum, LagrangePair(args.lambda1, args.lambda2))
         noise = point.spectra

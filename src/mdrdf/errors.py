@@ -59,7 +59,3 @@ class SignalTooShort(MdrdfError):
 
 class LengthMismatch(MdrdfError):
     """Signals to compare do not have equal length."""
-
-
-class TruncationWarning(UserWarning):
-    """FIR truncation left non-negligible tail energy."""

@@ -1,25 +1,22 @@
 """Filter construction for the time-domain coding structures.
 
-Builds the interleaved upsampled-rate noise spectrum, the FIR
-noise-shaping filter C(z), the pre/post magnitude responses F and G, and
-the half-band interpolator. All frequency responses are real and even in
-omega (zero phase), so impulse responses are real.
+Builds the interleaved upsampled-rate noise spectrum, the recursive
+noise shaper 1 + C(z) = 1/(1 - Q(z)) from the mask predictor Q, the
+pre/post magnitude responses F and G, and the half-band interpolator.
+F and G are zero phase: real and even in omega, so their impulse
+responses are real.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import MaskExceedsSource, NegativeRadicand, TruncationWarning
+from .errors import MaskExceedsSource, NegativeRadicand
 from .rdf import NoiseSpectra
-from .spectra import Spectrum, optimal_predictor
-
-C_TRUNCATION_TOL = 1e-9
-C_MAX_LEN = 8192
+from .spectra import PredictorCoeffs, Spectrum, optimal_predictor
 
 
 @dataclass(frozen=True)
@@ -37,29 +34,6 @@ class InterleavedSpectrum:
     @property
     def spectrum(self) -> Spectrum:
         return Spectrum(self.values)
-
-
-@dataclass(frozen=True)
-class ShapingFilter:
-    """Strictly causal FIR noise shaper C(z) = c_1 z^-1 + ... + c_L z^-L.
-
-    innovation_variance is the white-noise power that, colored by
-    |1 + C|^2, reproduces the target mask up to truncation error.
-    """
-
-    coeffs: NDArray[np.float64]
-    innovation_variance: float
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.size
-
-    def one_plus_c(self, omega: NDArray[np.float64]) -> NDArray[np.complex128]:
-        """Frequency response 1 + C(e^{j omega})."""
-        resp = np.ones_like(omega, dtype=complex)
-        for k, c in enumerate(self.coeffs, start=1):
-            resp += c * np.exp(-1j * k * omega)
-        return resp
 
 
 @dataclass(frozen=True)
@@ -82,48 +56,18 @@ def interleave_theta(noise: NoiseSpectra) -> InterleavedSpectrum:
     return InterleavedSpectrum(np.concatenate([2.0 * tp, 2.0 * tm[::-1]]))
 
 
-def noise_shaper(
-    mask: Spectrum,
-    order: int,
-    max_len: int = C_MAX_LEN,
-    tol: float = C_TRUNCATION_TOL,
-) -> ShapingFilter:
-    """FIR realization of C(z) = Q(z) / (1 - Q(z)) for the mask predictor Q.
+def noise_shaper(mask: Spectrum, order: int) -> PredictorCoeffs:
+    """Mask predictor Q of the recursive noise shaper 1 + C(z) = 1/(1 - Q(z)).
 
-    Q is the order-`order` optimal predictor of the mask; the rational
-    filter is expanded by long division and truncated once eight
-    consecutive coefficients fall below `tol` in magnitude. Warns with
-    TruncationWarning when the cutoff at max_len leaves visible tail
-    energy.
+    White noise of power innovation_variance through 1/(1 - Q) has the
+    order-`order` autoregressive fit of the mask as its spectrum
+    (spectrum_from_predictor). A flat mask needs no shaping and gives
+    order 0.
     """
     pred = optimal_predictor(mask, order)
-    q = pred.coeffs
-    if not np.any(np.abs(q) > 1e-14):
-        return ShapingFilter(np.zeros(0), pred.innovation_variance)
-    L = q.size
-    c = np.zeros(max_len)
-    below = 0
-    n_end = max_len
-    for n in range(1, max_len + 1):
-        v = q[n - 1] if n <= L else 0.0
-        kmax = min(n - 1, L)
-        if kmax:
-            v += np.dot(q[:kmax], c[n - 1 - kmax : n - 1][::-1])
-        c[n - 1] = v
-        below = below + 1 if abs(v) < tol else 0
-        if below >= 8 and n > L:
-            n_end = n
-            break
-    coeffs = c[:n_end]
-    total = float(np.sum(coeffs**2))
-    tail = float(np.sum(coeffs[-8:] ** 2))
-    if n_end == max_len and total > 0 and tail > 1e-6 * total:
-        warnings.warn(
-            f"shaping filter truncated at {max_len} taps with tail energy "
-            f"{tail / total:.2e} of total",
-            TruncationWarning,
-        )
-    return ShapingFilter(coeffs, pred.innovation_variance)
+    if not np.any(np.abs(pred.coeffs) > 1e-14):
+        return PredictorCoeffs(np.zeros(0), pred.innovation_variance)
+    return pred
 
 
 def pre_post_filters(source: Spectrum, noise: NoiseSpectra) -> PrePostFilters:

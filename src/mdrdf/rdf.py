@@ -83,7 +83,12 @@ def evaluate(spectrum: Spectrum, lam: LagrangePair) -> RdfPoint:
 
 
 def high_rate_approx(lam: LagrangePair) -> ThetaPair:
-    """Flat high-rate noise pair tm = 1/(4 l1), tp = 1/(4 (l1 + l2))."""
+    """Flat high-rate noise pair tm = 1/(4 l1), tp = 1/(4 (l1 + l2)).
+
+    Needs lambda1 > 0: with a slack side constraint tm is unbounded.
+    """
+    if lam.lambda1 == 0.0:
+        raise ValueError("high-rate approximation needs lambda1 > 0")
     return ThetaPair(
         theta_plus=0.25 / (lam.lambda1 + lam.lambda2),
         theta_minus=0.25 / lam.lambda1,

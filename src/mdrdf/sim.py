@@ -8,9 +8,12 @@ Gaussian (awgn mode) or a scalar subtractive-dither uniform quantizer
 (ecdq mode); both have identical second moments when step^2/12 equals the
 injected variance, which is what every measured quantity depends on.
 
-The feedback loops are inherently sequential in ecdq mode; in awgn mode
-the loop algebra collapses to V = U + (1 + C) Z and Y = (1 - A) V, which
-is evaluated with vectorized filtering.
+The noise shaper is the recursive filter 1 + C = 1/(1 - Q) of the mask
+predictor Q. Only ecdq mode runs the sequential loop, because the
+quantizer makes it nonlinear. In awgn mode the loop algebra collapses to
+V = U + Z/(1 - Q) and Y = (1 - A) V, which both two-description
+structures and the single-description channel evaluate by vectorized
+filtering.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from scipy import signal as _sig
 
 from .errors import LengthMismatch, MaskExceedsSource, SignalTooShort
 from .filters import (
-    ShapingFilter,
     halfband_interpolator,
     interleave_theta,
     noise_shaper,
@@ -33,7 +35,7 @@ from .filters import (
     sd_prefilter,
 )
 from .rdf import NoiseSpectra
-from .spectra import Spectrum, entropy_power, midpoint_omega, optimal_predictor
+from .spectra import PredictorCoeffs, Spectrum, entropy_power, midpoint_omega, optimal_predictor
 
 MODES = ("awgn", "ecdq")
 ERASURES = ("none", "lose_desc1", "lose_desc2")
@@ -223,25 +225,25 @@ def _zero_phase(x: NDArray[np.float64], mag: NDArray[np.float64], omega) -> NDAr
 def _dsq_loop(
     u: NDArray[np.float64],
     a: NDArray[np.float64],
-    c: NDArray[np.float64],
+    q: NDArray[np.float64],
     stride: int,
-    z: Optional[NDArray[np.float64]] = None,
-    dither: Optional[NDArray[np.float64]] = None,
-    step: float = 0.0,
+    dither: NDArray[np.float64],
+    step: float,
 ):
-    """Sequential prediction / noise-shaping loop.
+    """Sequential ecdq prediction / noise-shaping loop.
 
     At each sample: b predicts from reconstructions at lags stride,
-    2*stride, ...; the shaping term feeds back past injected noise through
-    the strictly causal FIR c; the quantizer input is u - b + shaped; the
-    reconstruction is y + b. Returns (V, Y, E, indices).
+    2*stride, ...; the shaping term et = sum_k q_k G[m-k] feeds back the
+    shaped-noise history G = E + et, so that V - U = G = E/(1 - Q) for the
+    quantization error E; the quantizer input is u - b + et; the
+    reconstruction is y + b. Returns (V, Y, indices).
     """
     n = u.size
-    P, L = a.size, c.size
+    P, L = a.size, q.size
     V = np.zeros(n)
     Y = np.zeros(n)
-    E = np.zeros(n)
-    idx = np.zeros(n, dtype=np.int64) if dither is not None else None
+    G = np.zeros(n)
+    idx = np.zeros(n, dtype=np.int64)
     for m in range(n):
         b = 0.0
         if P:
@@ -250,25 +252,16 @@ def _dsq_loop(
                 b = float(np.dot(a[: lags.size], lags))
         et = 0.0
         if L and m:
-            hist = E[m - 1 :: -1][:L]
-            et = float(np.dot(c[: hist.size], hist))
+            hist = G[m - 1 :: -1][:L]
+            et = float(np.dot(q[: hist.size], hist))
         d = u[m] - b + et
-        if dither is None:
-            y = d + z[m]
-        else:
-            q = math.floor((d + dither[m]) / step + 0.5)
-            y = q * step - dither[m]
-            idx[m] = q
-        E[m] = y - d
+        k = math.floor((d + dither[m]) / step + 0.5)
+        y = k * step - dither[m]
+        idx[m] = k
+        G[m] = y - d + et
         V[m] = y + b
         Y[m] = y
-    return V, Y, E, idx
-
-
-def _shaped_noise_vectorized(z: NDArray[np.float64], c: NDArray[np.float64]):
-    if c.size == 0:
-        return z
-    return z + _sig.lfilter(np.r_[0.0, c], [1.0], z)
+    return V, Y, idx
 
 
 def _apply_predictor_error(v: NDArray[np.float64], a: NDArray[np.float64], stride: int):
@@ -288,8 +281,8 @@ def _empirical_entropy(indices: NDArray[np.int64]) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def _auto_warmup(cfg: SimConfig, c_len: int, interpolated: bool = True) -> int:
-    transient = max(cfg.predictor_order, c_len)
+def _auto_warmup(cfg: SimConfig, shaper_order: int, interpolated: bool = True) -> int:
+    transient = max(cfg.predictor_order, shaper_order)
     if interpolated:
         transient += (cfg.interp_taps + cfg.decoder_taps) // 2
     if cfg.warmup is not None:
@@ -302,12 +295,12 @@ def _auto_warmup(cfg: SimConfig, c_len: int, interpolated: bool = True) -> int:
         2048,
         cfg.interp_taps + cfg.decoder_taps if interpolated else 0,
         8 * cfg.predictor_order,
-        2 * c_len,
+        2 * shaper_order,
     )
     return min(max(w, transient), cfg.num_samples // 8)
 
 
-def _shaper_for_mask(mask_values: NDArray[np.float64], cfg: SimConfig) -> ShapingFilter:
+def _shaper_for_mask(mask_values: NDArray[np.float64], cfg: SimConfig) -> PredictorCoeffs:
     floored = Spectrum(np.maximum(mask_values, cfg.mask_floor))
     return noise_shaper(floored, cfg.shaper_order)
 
@@ -334,33 +327,30 @@ def run_sd_mask_channel(source: Spectrum, mask: Spectrum, cfg: SimConfig) -> Sim
 
     x, a, _ = _synth_source(source, cfg.predictor_order, rng_src, n)
     shaper = _shaper_for_mask(mask.values, cfg)
-    c = shaper.coeffs
     sz2 = shaper.innovation_variance
     f_mag = sd_prefilter(source, mask)
     u = _zero_phase(x, f_mag, om)
 
     if cfg.mode == "awgn":
         z = rng_noise.standard_normal(n) * math.sqrt(sz2)
-        v = u + _shaped_noise_vectorized(z, c)
+        v = u + _sig.lfilter([1.0], np.r_[1.0, -shaper.coeffs], z)
         indices = None
     else:
         state = QuantizerState(step=math.sqrt(12.0 * sz2), rng=rng_noise)
         dither = state.draw_dither(n)
-        v, _, _, indices = _dsq_loop(u, a, c, stride=1, dither=dither, step=state.step)
+        v, _, indices = _dsq_loop(u, a, shaper.coeffs, stride=1, dither=dither, step=state.step)
     y = _apply_predictor_error(v, a, stride=1)
     xhat = _zero_phase(v, f_mag, om)
 
-    warm = _auto_warmup(cfg, c.size, interpolated=False)
+    # one measured window for the distortion, the PSDs and the rate
+    warm = _auto_warmup(cfg, shaper.order, interpolated=False)
     sl = slice(warm, n - warm)
-    _, _, d_central = measure_distortions(
-        x[: n - warm], None, None, xhat[: n - warm], warmup=warm
-    )
     err = (xhat - x)[sl]
     y_trim = y[sl]
     report = SimReport(
         d_side_1=None,
         d_side_2=None,
-        d_central=d_central,
+        d_central=float(np.mean(err * err)),
         rate_analytical=_analytic_rate(source, mask.values, cfg.mask_floor),
         rate_empirical=_empirical_entropy(indices[sl]) if indices is not None else None,
         psd_y=welch_psd(y_trim, cfg.welch_segment),
@@ -372,8 +362,14 @@ def run_sd_mask_channel(source: Spectrum, mask: Spectrum, cfg: SimConfig) -> Sim
     return report
 
 
-def _md_front_end(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig):
-    """Shared encoder-side setup for the two-description structures."""
+def _md_encode(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig):
+    """Shared encoder of the two-description structures.
+
+    Front end (source, pre filter F, interpolation to the upsampled rate),
+    noise streams and the upsampled-rate loop: vectorized in awgn mode,
+    the sequential loop in ecdq mode. Returns
+    (x, a, tilde, shaper, pp, ref, V, Y, indices).
+    """
     n = cfg.num_samples
     om = source.omega
     rng_src = np.random.default_rng([cfg.seed, 1])
@@ -391,14 +387,29 @@ def _md_front_end(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig):
     r0 = np.zeros(2 * n)
     r0[::2] = x
     ref = _sig.lfilter(h_enc, [1.0], r0)
-    return x, a, tilde, shaper, pp, u, ref
+
+    sz2 = shaper.innovation_variance
+    if cfg.mode == "awgn":
+        rng_noise = np.random.default_rng([cfg.seed, 2])
+        z = rng_noise.standard_normal(2 * n) * math.sqrt(sz2)
+        v_up = u + _sig.lfilter([1.0], np.r_[1.0, -shaper.coeffs], z)
+        y_up = _apply_predictor_error(v_up, a, stride=2)
+        indices = None
+    else:
+        step = math.sqrt(12.0 * sz2)
+        s1 = QuantizerState(step=step, rng=np.random.default_rng([cfg.seed, 3]))
+        s2 = QuantizerState(step=step, rng=np.random.default_rng([cfg.seed, 4]))
+        dither = np.zeros(2 * n)
+        dither[0::2] = s1.draw_dither(n)
+        dither[1::2] = s2.draw_dither(n)
+        v_up, y_up, indices = _dsq_loop(u, a, shaper.coeffs, stride=2, dither=dither, step=step)
+    return x, a, tilde, shaper, pp, ref, v_up, y_up, indices
 
 
-def _md_measure(source, noise, cfg, x, a, tilde, shaper, pp, v_up, y_up, ref, indices):
+def _md_measure(source, cfg, x, tilde, shaper, pp, ref, v_up, y_up, indices):
     """Decode side and central paths from the upsampled loop output."""
     n = cfg.num_samples
     om = source.omega
-    c = shaper.coeffs
     me = (cfg.interp_taps - 1) // 2
     md = (cfg.decoder_taps - 1) // 2
 
@@ -409,7 +420,7 @@ def _md_measure(source, noise, cfg, x, a, tilde, shaper, pp, v_up, y_up, ref, in
     want_c = want_1 and want_2
 
     h_dec = halfband_interpolator(cfg.decoder_taps)
-    warm = _auto_warmup(cfg, c.size)
+    warm = _auto_warmup(cfg, shaper.order)
 
     d1 = d2 = dc = None
     err1 = errc = None
@@ -460,54 +471,25 @@ def _md_measure(source, noise, cfg, x, a, tilde, shaper, pp, v_up, y_up, ref, in
     )
 
 
-def _md_noise_streams(cfg: SimConfig, sz2: float, n_up: int):
-    if cfg.mode == "awgn":
-        rng_noise = np.random.default_rng([cfg.seed, 2])
-        return rng_noise.standard_normal(n_up) * math.sqrt(sz2), None, 0.0
-    step = math.sqrt(12.0 * sz2)
-    s1 = QuantizerState(step=step, rng=np.random.default_rng([cfg.seed, 3]))
-    s2 = QuantizerState(step=step, rng=np.random.default_rng([cfg.seed, 4]))
-    dither = np.zeros(n_up)
-    dither[0::2] = s1.draw_dither(n_up // 2)
-    dither[1::2] = s2.draw_dither(n_up // 2)
-    return None, dither, step
-
-
 def run_md_channel(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig) -> SimReport:
-    """Two-description equivalent channel (single upsampled-rate loop)."""
-    x, a, tilde, shaper, pp, u, ref = _md_front_end(source, noise, cfg)
-    z, dither, step = _md_noise_streams(cfg, shaper.innovation_variance, u.size)
-    indices = None
-    if cfg.mode == "awgn":
-        v_up = u + _shaped_noise_vectorized(z, shaper.coeffs)
-        y_up = _apply_predictor_error(v_up, a, stride=2)
-    else:
-        v_up, y_up, _, indices = _dsq_loop(
-            u, a, shaper.coeffs, stride=2, dither=dither, step=step
-        )
-    return _md_measure(source, noise, cfg, x, a, tilde, shaper, pp, v_up, y_up, ref, indices)
+    """Two-description equivalent channel: the decoders read V directly."""
+    x, _, tilde, shaper, pp, ref, v_up, y_up, indices = _md_encode(source, noise, cfg)
+    return _md_measure(source, cfg, x, tilde, shaper, pp, ref, v_up, y_up, indices)
 
 
 def run_md_codec(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig) -> SimReport:
     """Nested encoder (per-description prediction loops inside a common
     noise-shaping loop) followed by the matching decoder.
 
-    The encoder always runs the true sample-by-sample loop; the decoder
-    reconstructs each description independently by its own prediction
-    filter before re-interleaving for the central path, so surviving a
-    description erasure needs nothing from the lost stream.
+    The encoder is the channel's: the sample-by-sample loop in ecdq mode,
+    vectorized filtering in awgn mode. The decoder reconstructs each
+    description independently by its own prediction filter before
+    re-interleaving for the central path, so surviving a description
+    erasure needs nothing from the lost stream.
     """
-    x, a, tilde, shaper, pp, u, ref = _md_front_end(source, noise, cfg)
-    z, dither, step = _md_noise_streams(cfg, shaper.innovation_variance, u.size)
-    _, y_up, _, indices = _dsq_loop(
-        u, a, shaper.coeffs, stride=2, z=z, dither=dither, step=step
-    )
-    # decoder: per-description prediction from the received reconstructions
-    y1, y2 = y_up[0::2], y_up[1::2]
-    den = np.r_[1.0, -a] if a.size else np.array([1.0])
-    v1 = _sig.lfilter([1.0], den, y1)
-    v2 = _sig.lfilter([1.0], den, y2)
+    x, a, tilde, shaper, pp, ref, _, y_up, indices = _md_encode(source, noise, cfg)
+    den = np.r_[1.0, -a]
     v_up = np.zeros_like(y_up)
-    v_up[0::2] = v1
-    v_up[1::2] = v2
-    return _md_measure(source, noise, cfg, x, a, tilde, shaper, pp, v_up, y_up, ref, indices)
+    v_up[0::2] = _sig.lfilter([1.0], den, y_up[0::2])
+    v_up[1::2] = _sig.lfilter([1.0], den, y_up[1::2])
+    return _md_measure(source, cfg, x, tilde, shaper, pp, ref, v_up, y_up, indices)

@@ -82,6 +82,13 @@ class TestSolve:
         )
         assert code == 2
 
+    def test_both_lambdas_zero_exit_2(self, capsys):
+        code, _, _ = run_cli(
+            ["solve", "--spectrum", "cosine", "--lambda1", "0", "--lambda2", "0"],
+            capsys,
+        )
+        assert code == 2
+
     def test_unknown_spectrum_exit_2(self, capsys):
         code, _, _ = run_cli(
             ["solve", "--spectrum", "bogus:1", "--lambda1", "1", "--lambda2", "1"],
@@ -108,6 +115,27 @@ class TestFitCommand:
         )
         assert code == 0
         assert json.loads(out)["result"]["rate_nats"] == 0.0
+
+    def test_slack_fit_replays_through_solve(self, capsys):
+        code, out, _ = run_cli(
+            ["fit", "--spectrum", "cosine", "--ds", "0.9", "--dc", "0.2"], capsys
+        )
+        assert code == 0
+        fitted = json.loads(out)["result"]
+        assert fitted["lambda1"] == 0
+        code, out, _ = run_cli(
+            [
+                "solve",
+                "--spectrum", "cosine",
+                "--lambda1", repr(fitted["lambda1"]),
+                "--lambda2", repr(fitted["lambda2"]),
+            ],
+            capsys,
+        )
+        assert code == 0
+        solved = json.loads(out)["result"]
+        assert solved["d_side"] == fitted["d_side"]
+        assert solved["d_central"] == fitted["d_central"]
 
     def test_infeasible_exit_4(self, capsys):
         code, _, _ = run_cli(

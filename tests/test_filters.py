@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mdrdf import Spectrum, entropy_power, flat_spectrum, midpoint_omega
+from mdrdf import Spectrum, entropy_power, flat_spectrum, midpoint_omega, spectrum_from_predictor
 from mdrdf.errors import MaskExceedsSource, NegativeRadicand
 from mdrdf.filters import (
     halfband_interpolator,
@@ -28,8 +28,8 @@ def two_step_mask(low, high, n):
 
 
 def shaped_response(shaper, grid_size):
-    om = midpoint_omega(grid_size)
-    return np.abs(shaper.one_plus_c(om)) ** 2 * shaper.innovation_variance
+    # |1 + C|^2 = 1/|1 - Q|^2 times the innovation power
+    return spectrum_from_predictor(shaper, grid_size).values
 
 
 class TestInterleave:

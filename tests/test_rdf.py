@@ -194,6 +194,10 @@ class TestHighRateApprox:
         assert t.theta_minus == pytest.approx(1.0 / 16.0, rel=1e-15)
         assert t.theta_plus == pytest.approx(1.0 / 28.0, rel=1e-15)
 
+    def test_slack_side_constraint_rejected(self):
+        with pytest.raises(ValueError):
+            high_rate_approx(LagrangePair(0.0, 1.0))
+
     def test_limits_against_exact(self):
         from mdrdf import solve_frequency
 

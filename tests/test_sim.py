@@ -7,11 +7,13 @@ from scipy import stats
 
 from mdrdf import Spectrum, entropy_power, flat_spectrum
 from mdrdf.errors import LengthMismatch, MaskExceedsSource, SignalTooShort
-from mdrdf.filters import interleave_theta
+from mdrdf.filters import interleave_theta, noise_shaper
 from mdrdf.rdf import NoiseSpectra
 from mdrdf.sim import (
     QuantizerState,
     SimConfig,
+    _apply_predictor_error,
+    _dsq_loop,
     band_means,
     ecdq_quantize,
     measure_distortions,
@@ -20,7 +22,6 @@ from mdrdf.sim import (
     run_sd_mask_channel,
     welch_psd,
 )
-
 
 
 def flat_noise(tp, tm, n):
@@ -116,6 +117,28 @@ class TestMeasureDistortions:
     def test_length_guard(self):
         with pytest.raises(LengthMismatch):
             measure_distortions(np.zeros(10), np.zeros(9), None, None, 0)
+
+
+class TestDsqLoop:
+    def test_recursive_shaper_is_exact(self):
+        # stride-2 loop on a colored (two-step) interleaved mask with an
+        # AR(1) source predictor: the noise the loop adds to its input,
+        # V - U = E/(1 - Q), must whiten back to a quantization error E
+        # inside the cell, and Y must be the prediction error of V
+        from scipy import signal as sig
+
+        q = noise_shaper(interleave_theta(flat_noise(0.05, 0.2, 256)).spectrum, 96)
+        assert q.order == 96
+        a = np.array([0.9])
+        n = 1 << 14
+        rng = np.random.default_rng(24)
+        u = sig.lfilter([1.0], [1.0, -0.9], rng.standard_normal(n))
+        state = QuantizerState(step=math.sqrt(12.0 * q.innovation_variance), rng=rng)
+        V, Y, _ = _dsq_loop(u, a, q.coeffs, 2, state.draw_dither(n), state.step)
+        E = sig.lfilter(np.r_[1.0, -q.coeffs], [1.0], V - u)
+        assert np.max(np.abs(E)) <= state.step / 2 + 1e-12
+        assert np.var(E) == pytest.approx(q.innovation_variance, rel=0.05)
+        assert Y == pytest.approx(_apply_predictor_error(V, a, 2), abs=1e-9)
 
 
 class TestSdMaskChannel:
