@@ -1,4 +1,4 @@
-"""Exception types raised by the mdrdf library."""
+"""Exception and warning types raised by the mdrdf library."""
 
 
 class MdrdfError(Exception):
@@ -59,3 +59,7 @@ class SignalTooShort(MdrdfError):
 
 class LengthMismatch(MdrdfError):
     """Signals to compare do not have equal length."""
+
+
+class KernelUnavailableWarning(RuntimeWarning):
+    """The compiled ecdq loop could not be built or loaded; the Python loop runs."""

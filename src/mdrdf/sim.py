@@ -14,6 +14,13 @@ quantizer makes it nonlinear. In awgn mode the loop algebra collapses to
 V = U + Z/(1 - Q) and Y = (1 - A) V, which both two-description
 structures and the single-description channel evaluate by vectorized
 filtering.
+
+The ecdq loop runs as a compiled C kernel (`dsq_kernel`). The first ecdq
+run builds it with the system compiler `cc` into `$XDG_CACHE_HOME/mdrdf`
+(default `~/.cache/mdrdf`); later runs and processes reuse the cached
+library. Without a C compiler, or if the build fails, one
+`KernelUnavailableWarning` is issued and the Python reference loop
+`_dsq_loop` runs instead, with the same quantizer indices.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import signal as _sig
 
+from . import dsq_kernel
 from .errors import LengthMismatch, MaskExceedsSource, SignalTooShort
 from .filters import (
     halfband_interpolator,
@@ -230,7 +238,9 @@ def _dsq_loop(
     dither: NDArray[np.float64],
     step: float,
 ):
-    """Sequential ecdq prediction / noise-shaping loop.
+    """Sequential ecdq prediction / noise-shaping loop: the reference
+    implementation of the compiled kernel in `dsq_kernel`, and its
+    fallback when no C compiler is available.
 
     At each sample: b predicts from reconstructions at lags stride,
     2*stride, ...; the shaping term et = sum_k q_k G[m-k] feeds back the
@@ -262,6 +272,12 @@ def _dsq_loop(
         V[m] = y + b
         Y[m] = y
     return V, Y, idx
+
+
+def _ecdq_loop(u, a, q, stride: int, dither, step: float):
+    """The ecdq loop: the compiled kernel, or `_dsq_loop` if it is unavailable."""
+    loop = dsq_kernel.load() or _dsq_loop
+    return loop(u, a, q, stride, dither, step)
 
 
 def _apply_predictor_error(v: NDArray[np.float64], a: NDArray[np.float64], stride: int):
@@ -338,7 +354,7 @@ def run_sd_mask_channel(source: Spectrum, mask: Spectrum, cfg: SimConfig) -> Sim
     else:
         state = QuantizerState(step=math.sqrt(12.0 * sz2), rng=rng_noise)
         dither = state.draw_dither(n)
-        v, _, indices = _dsq_loop(u, a, shaper.coeffs, stride=1, dither=dither, step=state.step)
+        v, _, indices = _ecdq_loop(u, a, shaper.coeffs, stride=1, dither=dither, step=state.step)
     y = _apply_predictor_error(v, a, stride=1)
     xhat = _zero_phase(v, f_mag, om)
 
@@ -402,7 +418,7 @@ def _md_encode(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig):
         dither = np.zeros(2 * n)
         dither[0::2] = s1.draw_dither(n)
         dither[1::2] = s2.draw_dither(n)
-        v_up, y_up, indices = _dsq_loop(u, a, shaper.coeffs, stride=2, dither=dither, step=step)
+        v_up, y_up, indices = _ecdq_loop(u, a, shaper.coeffs, stride=2, dither=dither, step=step)
     return x, a, tilde, shaper, pp, ref, v_up, y_up, indices
 
 

@@ -184,8 +184,10 @@ def regularize(spectrum: Spectrum, eps: float):
     """Clip the spectrum below at eps (Paley-Wiener guard).
 
     Returns (clipped spectrum, distortion credit d_eps) where
-    d_eps = (1/N) sum max(0, eps - S_k). Callers add d_eps to their
-    distortion targets. Idempotent for fixed eps.
+    d_eps = (1/N) sum max(0, eps - S_k) is the mean power the clip adds.
+    The credit is reported, not applied: callers compute distortions and
+    meet distortion targets on the clipped spectrum, and report d_eps
+    beside the result (the CLI's `d_eps` field). Idempotent for fixed eps.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -29,3 +29,12 @@ def ar1():
 def example1_point(cosine):
     """Worked example: cosine spectrum at multipliers (0.2380, 2.700)."""
     return evaluate(cosine, LagrangePair(0.2380, 2.700))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """Build the compiled ecdq loop into a per-session cache directory
+    instead of the user's ~/.cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield

@@ -137,6 +137,37 @@ class TestFitCommand:
         assert solved["d_side"] == fitted["d_side"]
         assert solved["d_central"] == fitted["d_central"]
 
+    def test_table_with_zeros_reports_d_eps(self, capsys, tmp_path):
+        # zero above omega = 2.5: the clip adds eps over that band, and the
+        # targets are met on the clipped spectrum, not shifted by d_eps
+        path = tmp_path / "spec.json"
+        table = {"omega": [0.0, 2.0, 2.5, math.pi], "value": [2.0, 1.0, 0.0, 0.0]}
+        path.write_text(json.dumps(table))
+        eps, ds, dc, tol = 1e-3, 0.3, 0.06, 1e-6
+        args = ["--spectrum", f"table:{path}", "--regularize-eps", str(eps)]
+        code, out, _ = run_cli(
+            ["fit", *args, "--ds", str(ds), "--dc", str(dc), "--tol", str(tol)], capsys
+        )
+        assert code == 0
+        fitted = json.loads(out)["result"]
+        zero_share = (math.pi - 2.5) / math.pi
+        assert fitted["d_eps"] == pytest.approx(eps * zero_share, rel=0.01)
+        assert fitted["d_eps"] > 100 * tol
+        assert abs(fitted["d_side"] - ds) <= tol
+        assert abs(fitted["d_central"] - dc) <= tol
+        code, out, _ = run_cli(
+            [
+                "solve", *args,
+                "--lambda1", repr(fitted["lambda1"]),
+                "--lambda2", repr(fitted["lambda2"]),
+            ],
+            capsys,
+        )
+        assert code == 0
+        solved = json.loads(out)["result"]
+        assert (solved["d_side"], solved["d_central"]) == (fitted["d_side"], fitted["d_central"])
+        assert solved["d_eps"] == fitted["d_eps"]
+
     def test_infeasible_exit_4(self, capsys):
         code, _, _ = run_cli(
             ["fit", "--spectrum", "flat:1", "--ds", "0.1", "--dc", "0.2"],

@@ -1,12 +1,19 @@
 import json
 import math
+import shutil
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from mdrdf import Spectrum, entropy_power, flat_spectrum
-from mdrdf.errors import LengthMismatch, MaskExceedsSource, SignalTooShort
+from mdrdf import DistortionPair, Spectrum, entropy_power, fit_lambdas, flat_spectrum, sim
+from mdrdf.errors import (
+    KernelUnavailableWarning,
+    LengthMismatch,
+    MaskExceedsSource,
+    SignalTooShort,
+)
 from mdrdf.filters import interleave_theta, noise_shaper
 from mdrdf.rdf import NoiseSpectra
 from mdrdf.sim import (
@@ -26,6 +33,47 @@ from mdrdf.sim import (
 
 def flat_noise(tp, tm, n):
     return NoiseSpectra(np.full(n, tp), np.full(n, tm), np.zeros(n, dtype=bool))
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc'")
+
+
+@pytest.fixture
+def fresh_kernel():
+    """Forget the loaded kernel before and after the test, so that the test
+    sees its own cache and compiler, and later tests see theirs."""
+    sim.dsq_kernel.load.cache_clear()
+    yield sim.dsq_kernel.load
+    sim.dsq_kernel.load.cache_clear()
+
+
+def record_loop(monkeypatch):
+    """Record (args, kwargs, result) of every ecdq loop the simulators run."""
+    calls = []
+    real = sim._ecdq_loop
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(sim, "_ecdq_loop", spy)
+    return calls
+
+
+def assert_matches_reference(got, want):
+    """Indices and Y exactly equal; V to 1e-12 of its scale (the kernel's
+    dot products may round differently from np.dot's)."""
+    (V, Y, idx), (V_ref, Y_ref, idx_ref) = got, want
+    np.testing.assert_array_equal(idx, idx_ref)
+    np.testing.assert_array_equal(Y, Y_ref)
+    assert np.max(np.abs(V - V_ref)) <= 1e-12 * np.max(np.abs(V_ref))
+
+
+def anchor_point(spectrum):
+    """The benchmark's operating point (D_S, D_C) = (0.4, 0.08) variance."""
+    var = spectrum.variance
+    return fit_lambdas(spectrum, DistortionPair(0.4 * var, 0.08 * var), tol=1e-6)
 
 
 class TestEcdqQuantize:
@@ -139,6 +187,94 @@ class TestDsqLoop:
         assert np.max(np.abs(E)) <= state.step / 2 + 1e-12
         assert np.var(E) == pytest.approx(q.innovation_variance, rel=0.05)
         assert Y == pytest.approx(_apply_predictor_error(V, a, 2), abs=1e-9)
+
+
+class TestCompiledLoop:
+    @needs_cc
+    @pytest.mark.parametrize("source", ["cosine", "ar1"])
+    def test_md_codec_loop_matches_reference(self, source, request, monkeypatch):
+        spectrum = request.getfixturevalue(source)
+        calls = record_loop(monkeypatch)
+        cfg = SimConfig(num_samples=1 << 16, seed=7, mode="ecdq")
+        run_md_codec(spectrum, anchor_point(spectrum).spectra, cfg)
+        assert sim.dsq_kernel.load() is not None
+        (args, kwargs, got), = calls
+        assert kwargs["stride"] == 2 and args[0].size == 1 << 17
+        assert_matches_reference(got, _dsq_loop(*args, **kwargs))
+
+    @needs_cc
+    def test_sd_channel_loop_matches_reference(self, cosine, monkeypatch):
+        spectra = anchor_point(cosine).spectra
+        mask = Spectrum(spectra.theta_plus + spectra.theta_minus)
+        calls = record_loop(monkeypatch)
+        cfg = SimConfig(num_samples=1 << 16, seed=7, mode="ecdq")
+        run_sd_mask_channel(cosine, mask, cfg)
+        assert sim.dsq_kernel.load() is not None
+        (args, kwargs, got), = calls
+        assert kwargs["stride"] == 1 and args[0].size == 1 << 16
+        assert_matches_reference(got, _dsq_loop(*args, **kwargs))
+
+    @needs_cc
+    @pytest.mark.parametrize(
+        "source, noise, has_taps",
+        [
+            ("flat", (0.08, 0.15), (False, True)),  # white source: empty a
+            ("ar1", (0.1, 0.1), (True, False)),  # flat mask: empty q
+            ("flat", (0.1, 0.1), (False, False)),
+        ],
+    )
+    def test_degenerate_orders(self, source, noise, has_taps, ar1, monkeypatch):
+        spectrum = ar1 if source == "ar1" else flat_spectrum(1.0, ar1.grid_size)
+        calls = record_loop(monkeypatch)
+        cfg = SimConfig(num_samples=1 << 16, seed=8, mode="ecdq")
+        run_md_codec(spectrum, flat_noise(*noise, spectrum.grid_size), cfg)
+        assert sim.dsq_kernel.load() is not None
+        (args, kwargs, got), = calls
+        assert (args[1].size > 0, args[2].size > 0) == has_taps
+        assert_matches_reference(got, _dsq_loop(*args, **kwargs))
+
+    def test_fallback_without_compiler(self, tmp_path, monkeypatch, fresh_kernel):
+        src = flat_spectrum(1.0, 512)
+        noise = flat_noise(0.08, 0.15, 512)
+        cfg = SimConfig(num_samples=1 << 16, seed=9, mode="ecdq")
+        calls = record_loop(monkeypatch)
+        run_md_codec(src, noise, cfg)
+        fresh_kernel.cache_clear()
+        empty = tmp_path / "bin"
+        empty.mkdir()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("PATH", str(empty))
+        with pytest.warns(KernelUnavailableWarning) as warned:
+            fallback = run_md_codec(src, noise, cfg)
+            sim._ecdq_loop(np.zeros(8), np.zeros(0), np.zeros(0), 1, np.zeros(8), 1.0)
+        assert sum(issubclass(w.category, KernelUnavailableWarning) for w in warned) == 1
+        assert fresh_kernel() is None
+        np.testing.assert_array_equal(calls[1][2][2], calls[0][2][2])
+        assert fallback.rate_empirical > 0
+
+    @needs_cc
+    def test_warm_cache_loads_without_compiler(self, tmp_path, monkeypatch, fresh_kernel):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert fresh_kernel() is not None
+        cached = list((tmp_path / "mdrdf").iterdir())
+        assert len(cached) == 1 and cached[0].suffix == ".so"
+        fresh_kernel.cache_clear()
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the compiler ran although the cache was warm")
+
+        empty = tmp_path / "bin"
+        empty.mkdir()
+        monkeypatch.setenv("PATH", str(empty))
+        monkeypatch.setattr(sim.dsq_kernel.subprocess, "run", no_compiler)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loop = fresh_kernel()
+        assert loop is not None
+        rng = np.random.default_rng(10)
+        args = (rng.standard_normal(4096), np.array([0.5, -0.2]), np.array([0.3]), 2,
+                rng.uniform(-0.5, 0.5, 4096), 1.0)
+        assert_matches_reference(loop(*args), _dsq_loop(*args))
 
 
 class TestSdMaskChannel:
