@@ -32,7 +32,6 @@ from .spectra import (
     spectrum_from_predictor,
 )
 from .spectral_solver import LagrangePair
-from .sim import SimConfig, run_md_channel, run_md_codec
 from .white_md import DistortionPair
 
 EXIT_OK = 0
@@ -43,6 +42,20 @@ EXIT_INFEASIBLE = 4
 
 class ConfigError(Exception):
     pass
+
+
+# mdrdf.sim loads scipy.signal, which costs more than any other command's
+# whole run, so only `simulate` imports it; these names of it stay
+# reachable as attributes of this module (PEP 562)
+_SIM_NAMES = ("SimConfig", "run_md_channel", "run_md_codec")
+
+
+def __getattr__(name: str):
+    if name in _SIM_NAMES:
+        from . import sim
+
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _manifest(args: list[str], seed: int | None) -> dict:
@@ -291,14 +304,17 @@ def _cmd_simulate(args, argv) -> int:
         spectrum, d_eps = _prepare_spectrum(args)
         point = evaluate(spectrum, LagrangePair(args.lambda1, args.lambda2))
         noise = point.spectra
-    cfg = SimConfig(
+    from . import sim
+
+    cfg = sim.SimConfig(
         num_samples=args.samples,
         seed=args.seed,
         mode=args.mode,
         erasure=args.erasure,
         welch_segment=args.welch,
     )
-    runner = run_md_codec if args.structure == "codec" else run_md_channel
+    # looked up in sim at call time, so a wrapper installed there runs
+    runner = sim.run_md_codec if args.structure == "codec" else sim.run_md_channel
     report = runner(spectrum, noise, cfg)
     payload = {
         "manifest": _manifest(argv, args.seed),

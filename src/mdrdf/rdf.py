@@ -18,11 +18,19 @@ from numpy.typing import NDArray
 
 from .errors import DomainError, NoConvergence, TargetInfeasible
 from .spectra import Spectrum
-from .spectral_solver import LagrangePair, solve_spectrum
+from .spectral_solver import LagrangePair, lagrangian_hessian, solve_spectrum
 from .white_md import DistortionPair, ThetaPair
 
-# clamp of the equality root-find's multipliers
-FIT_BOUNDS = (1e-8, 1e8)
+# The equality fit stops once both distortions are within this fraction of
+# their targets, a few ulps of the integrals, or once a step no longer
+# shrinks a residual that already meets tol.
+FIT_RTOL = 1e-12
+FIT_MAX_EVALUATIONS = 60
+# first and largest trust radius in log-multiplier coordinates
+FIT_RADIUS = 1.5
+FIT_MAX_RADIUS = 10.0
+# fraction of the dual's predicted rise that a step must realize
+FIT_MIN_GAIN_RATIO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -122,6 +130,49 @@ def _water_level(values: NDArray[np.float64], target: float) -> float:
     return float((n * target - below[k]) / (n - k))
 
 
+def distortion_jacobian(spectrum: Spectrum, point: RdfPoint) -> NDArray[np.float64]:
+    """Exact J = d(D_S, D_C)/d(lambda1, lambda2) at an evaluated point.
+
+    By the envelope theorem J is the Hessian of the concave dual
+    g(lambda) = mean_k min_theta L_k - lambda1 ds - lambda2 dc, so it is
+    symmetric and negative semidefinite. Per bin:
+
+    - interior: implicit differentiation of grad_theta L = 0 gives
+      -B^T H^-1 B, with H the objective's 2x2 Hessian in (tp, tm) and
+      B = d(grad_theta L)/d(lambda), columns (1, 1) and
+      (S/(S - tm), S tp/(S - tm)^2);
+    - pinned at tm = S/2: tp = 1/(4 (lambda1 + 2 lambda2)) gives
+      -4 tp^2 [[1, 2], [2, 4]];
+    - zero-rate corner: 0.
+
+    Off the corner, bins are pinned only at lambda1 = 0, where all of them
+    are; lambda1 cannot fall there, and only J's lambda2 column is a
+    derivative. Built from the point's noise spectra; no further solve.
+    """
+    S = spectrum.values
+    tp, tm = point.spectra.theta_plus, point.spectra.theta_minus
+    corner = point.spectra.boundary_mask
+    edge = ~corner & (tm >= 0.5 * S)
+    inner = ~corner & ~edge
+    S, tp, tm = S[inner], tp[inner], tm[inner]
+    b1 = S / (S - tm)  # second column of B
+    b2 = b1 * tp / (S - tm)
+    h11, h12, h22 = lagrangian_hessian(S, tp, tm, point.lambdas)
+    det = h11 * h22 - h12 * h12
+    # x^T H^-1 y for the columns x, y of B
+    j11 = (h11 + h22 - 2.0 * h12) / det
+    j12 = (h22 * b1 - h12 * (b1 + b2) + h11 * b2) / det
+    j22 = (h22 * b1 * b1 - 2.0 * h12 * b1 * b2 + h11 * b2 * b2) / det
+    e = 4.0 * np.sum(point.spectra.theta_plus[edge] ** 2)
+    n = spectrum.grid_size
+    return -np.array(
+        [
+            [np.sum(j11) + e, np.sum(j12) + 2.0 * e],
+            [np.sum(j12) + 2.0 * e, np.sum(j22) + 4.0 * e],
+        ]
+    ) / n
+
+
 def fit_lambdas(spectrum: Spectrum, target: DistortionPair, tol: float = 1e-6) -> RdfPoint:
     """Find the minimum-rate multiplier pair for the distortion targets.
 
@@ -136,10 +187,15 @@ def fit_lambdas(spectrum: Spectrum, target: DistortionPair, tol: float = 1e-6) -
     where twice the rate is R(D_C). Neither rate can be beaten, so when
     the first point also has D_C <= dc, or the second D_S <= ds (each
     within tol), that edge point is returned with one multiplier exactly
-    0. Otherwise both constraints are active, and a Newton root-find on
-    log-multipliers solves (D_S, D_C) = targets, started from the
-    stationarity inversion at the average power and then from three
-    seeds built from w and v.
+    0. Otherwise both constraints are active and one trust-region Newton
+    iteration maximizes the concave dual
+    g(lambda) = R + lambda1 (D_S - ds) + lambda2 (D_C - dc), whose
+    gradient is the distortion residual and whose Hessian is
+    distortion_jacobian(). It starts from the stationarity inversion at
+    the average power, or from the edge multipliers (1/(4 w), 1/(8 v))
+    where that inversion has no positive solution, and iterates until
+    the residual is at rounding level. NoConvergence is raised if it
+    ends with a residual above tol.
     """
     sigma2 = spectrum.variance
     ds, dc = target.d_side, target.d_central
@@ -156,19 +212,13 @@ def fit_lambdas(spectrum: Spectrum, target: DistortionPair, tol: float = 1e-6) -
     v = _water_level(half, 0.5 * dc)
     if float(np.mean(half + np.minimum(v, half))) <= ds + tol:
         return evaluate(spectrum, LagrangePair(0.0, 0.125 / v))
-
-    l1, l2 = 0.25 / w, 0.125 / v  # the two edge points' multipliers
-    for seed in (_analytic_seed(sigma2, ds, dc), (l1, 1e-3 * l1), (l1, l2), (1e-3 * l2, l2)):
-        pt = None if seed is None else _newton_fit(spectrum, ds, dc, seed, tol)
-        if pt is not None:
-            return pt
-    raise NoConvergence(f"fit stalled above tol={tol} for targets ({ds}, {dc})")
+    seed = _analytic_seed(sigma2, ds, dc) or (0.25 / w, 0.125 / v)
+    return _newton_fit(spectrum, ds, dc, seed, tol)
 
 
 def _analytic_seed(sigma2, ds, dc):
     """Invert the per-frequency stationarity conditions at the average
     power sigma2; exact for white spectra, a good start elsewhere."""
-    lo, hi = FIT_BOUNDS
     if sigma2 <= dc:
         return None
     tm = sigma2 * (ds - dc) / (sigma2 - dc)
@@ -181,33 +231,78 @@ def _analytic_seed(sigma2, ds, dc):
     l1 = 0.25 / tp - l2 * sigma2 / (sigma2 - tm)
     if not (l1 > 0 and l2 > 0):
         return None
-    return min(max(l1, lo), hi), min(max(l2, lo), hi)
+    return l1, l2
 
 
 def _newton_fit(spectrum, ds, dc, seed, tol):
-    from scipy import optimize
+    """Maximize the dual g from seed by trust-region Newton steps in log lambda.
 
-    lo, hi = FIT_BOUNDS
+    In u = log lambda the gradient of g is b = lambda * r, and
+    A = -diag(lambda) J diag(lambda) is positive definite, so the model
+    b^T s - s^T A s / 2 has its maximum at the Newton step A^-1 b, which
+    is the Newton step in lambda divided by lambda. A step is the dogleg
+    maximizer of the model within the trust radius; moving along u keeps
+    both multipliers positive. A trial point is taken if g rises by more
+    than FIT_MIN_GAIN_RATIO of the model's prediction, up to rounding,
+    and keeps a bin off the zero-rate corner, where J would vanish. The
+    radius shrinks after a poor prediction and doubles, up to
+    FIT_MAX_RADIUS, after a good one.
+    """
+    d = np.array([ds, dc])
 
-    # soft clamp: keeps exp() finite without flattening the Jacobian at the
-    # search bounds the way a hard clamp would
-    u_lo, u_hi = math.log(lo) - 30.0, math.log(hi) + 30.0
+    def at(lam):
+        """The point, its residual, the dual, and the size of the dual's
+        terms, which sets the rounding slack of a gain."""
+        pt = evaluate(spectrum, LagrangePair(*lam))
+        dist = np.array([pt.d_side, pt.d_central])
+        return pt, dist - d, pt.rate + lam @ (dist - d), pt.rate + lam @ (dist + d)
 
-    def residual(u):
-        l1 = math.exp(min(max(u[0], u_lo), u_hi))
-        l2 = math.exp(min(max(u[1], u_lo), u_hi))
-        pt = evaluate(spectrum, LagrangePair(l1, l2))
-        return [
-            math.log(max(pt.d_side, 1e-300) / ds),
-            math.log(max(pt.d_central, 1e-300) / dc),
-        ]
-
-    sol = optimize.root(
-        residual, x0=np.log(np.asarray(seed)), method="hybr", options={"xtol": 1e-13}
-    )
-    l1 = math.exp(min(max(sol.x[0], math.log(lo)), math.log(hi)))
-    l2 = math.exp(min(max(sol.x[1], math.log(lo)), math.log(hi)))
-    pt = evaluate(spectrum, LagrangePair(l1, l2))
-    if abs(pt.d_side - ds) <= tol and abs(pt.d_central - dc) <= tol:
+    lam = np.asarray(seed, dtype=np.float64)
+    pt, r, g, scale = at(lam)
+    evaluations = 1
+    radius = FIT_RADIUS
+    while np.any(np.abs(r) > FIT_RTOL * d) and evaluations < FIT_MAX_EVALUATIONS:
+        A = -lam[:, None] * distortion_jacobian(spectrum, pt) * lam
+        b = lam * r
+        try:
+            step = _dogleg(A, b, radius)
+        except np.linalg.LinAlgError:  # a seed with every bin at the corner
+            break
+        trial = lam * np.exp(step)
+        trial_pt, trial_r, trial_g, trial_scale = at(trial)
+        evaluations += 1
+        ratio = -math.inf
+        if not np.all(trial_pt.spectra.boundary_mask):
+            ratio = (trial_g - g + 1e-13 * scale) / (b @ step - 0.5 * step @ A @ step)
+        length = math.hypot(*step)
+        if ratio < 0.25:
+            radius = 0.25 * length
+        elif ratio > 0.75 and length > 0.99 * radius:
+            radius = min(2.0 * radius, FIT_MAX_RADIUS)
+        if ratio <= FIT_MIN_GAIN_RATIO:
+            continue
+        if np.all(np.abs(r) <= tol) and np.max(np.abs(trial_r) / d) >= np.max(np.abs(r) / d):
+            break  # at rounding level: a step no longer shrinks the residual
+        lam, pt, r, g, scale = trial, trial_pt, trial_r, trial_g, trial_scale
+    if np.all(np.abs(r) <= tol):
         return pt
-    return None
+    raise NoConvergence(
+        f"fit stalled at residual ({r[0]:.3g}, {r[1]:.3g}) above tol={tol} "
+        f"for targets ({ds}, {dc}) after {evaluations} evaluations"
+    )
+
+
+def _dogleg(A, b, radius):
+    """Dogleg maximizer of b^T s - s^T A s / 2 over |s| <= radius, A > 0."""
+    newton = np.linalg.solve(A, b)
+    if math.hypot(*newton) <= radius:
+        return newton
+    cauchy = (b @ b) / (b @ A @ b) * b  # the model's maximum along b
+    to_newton = newton - cauchy
+    # |cauchy + tau to_newton| = radius, tau in [0, 1], or cut the gradient leg
+    qa, qb = to_newton @ to_newton, cauchy @ to_newton
+    qc = cauchy @ cauchy - radius * radius
+    if qc >= 0.0:
+        return radius / math.hypot(*cauchy) * cauchy
+    tau = -qc / (qb + math.sqrt(qb * qb - qa * qc))
+    return cauchy + tau * to_newton

@@ -133,7 +133,7 @@ def discriminant(S, lam: LagrangePair) -> CubicDiagnostics:
     """Reduced-cubic quantities p, q, discriminant xi and trig phase phi."""
     a2, a1, a0 = cubic_coeffs(S, lam)
     p, q = _pq_closed_form(S, lam.lambda1, lam.lambda2)
-    xi = q * q + p**3
+    xi = q * q + p * p * p
     # arctan2(sqrt(-xi), q) realizes the quadrant rule: arctan for q > 0,
     # pi + arctan for q < 0, pi/2 at q = 0; phi lies in [0, pi].
     with np.errstate(invalid="ignore"):
@@ -345,6 +345,14 @@ def lagrangian_gradient(S: float, theta_plus: float, theta_minus: float, lam: La
     return g_plus, g_minus
 
 
+def lagrangian_hessian(S, theta_plus, theta_minus, lam: LagrangePair):
+    """Second partials (d2L/dtp2, d2L/dtp dtm, d2L/dtm2) of the objective."""
+    h12 = lam.lambda2 * S / (S - theta_minus) ** 2
+    h11 = 0.25 / (theta_plus * theta_plus)
+    h22 = 0.25 / (theta_minus * theta_minus) + 2.0 * h12 * theta_plus / (S - theta_minus)
+    return h11, h12, h22
+
+
 def _lagrangian_uv(u, v, S, l1, l2):
     """Objective on the (u, v) chart tp = u v, tm = v; +inf off-domain."""
     tp = u * v
@@ -361,12 +369,9 @@ def _gradient_newton_polish(S, lam, tp, tm, iters: int = 30):
     the cubic closed form, so the brute-force oracle stays independent.
     Stops at the triangle boundary or on a non-convex Hessian.
     """
-    l2 = lam.lambda2
     for _ in range(iters):
         gp, gm = lagrangian_gradient(S, tp, tm, lam)
-        h11 = 1.0 / (4.0 * tp * tp)
-        h12 = l2 * S / (S - tm) ** 2
-        h22 = 1.0 / (4.0 * tm * tm) + 2.0 * l2 * S * tp / (S - tm) ** 3
+        h11, h12, h22 = lagrangian_hessian(S, tp, tm, lam)
         det = h11 * h22 - h12 * h12
         if det <= 0.0:
             break

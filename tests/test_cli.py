@@ -335,3 +335,39 @@ class TestEntryPoint:
         )
         assert proc.returncode != 0
         assert "cubic-residuals: FAIL" in proc.stdout
+
+
+class TestImportCost:
+    def test_only_simulate_loads_scipy(self, tmp_path):
+        # solve, sweep and fit run on numpy alone: scipy.signal comes with
+        # mdrdf.sim, which only simulate imports, and the fit needs no
+        # scipy.optimize; the names cli used to import from sim still resolve
+        script = """
+import sys
+import mdrdf.cli
+
+out = sys.argv[1]
+for argv in (
+    ["solve", "--spectrum", "cosine", "--lambda1", "0.238", "--lambda2", "2.7"],
+    ["sweep", "--spectrum", "cosine", "--lambda1-grid", "0.1:1:3", "--lambda2-grid", "1:10:3"],
+    ["fit", "--spectrum", "cosine", "--ds", "0.4", "--dc", "0.08"],
+):
+    assert mdrdf.cli.main([*argv, "--out", f"{out}/{argv[0]}.out"]) == 0, argv
+loaded = [name for name in ("scipy.signal", "scipy.optimize") if name in sys.modules]
+assert not loaded, loaded
+codec = mdrdf.cli.run_md_codec
+import mdrdf.sim
+
+assert codec is mdrdf.sim.run_md_codec
+assert mdrdf.cli.run_md_channel is mdrdf.sim.run_md_channel
+assert mdrdf.cli.SimConfig is mdrdf.sim.SimConfig
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        fit = json.loads((tmp_path / "fit.out").read_text())["result"]
+        assert fit["lambda1"] > 0 and fit["lambda2"] > 0  # an equality target

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdrdf import (
     DistortionPair,
@@ -16,9 +18,28 @@ from mdrdf import (
     sweep,
     theta_to_distortions,
 )
+from mdrdf import rdf
 from mdrdf.errors import DomainError, TargetInfeasible
-from mdrdf.rdf import _analytic_seed, rate_density
+from mdrdf.rdf import _analytic_seed, distortion_jacobian, rate_density
 from mdrdf.spectral_solver import solve_spectrum
+
+from conftest import ar1_spectrum, cosine_spectrum
+
+SPECTRA = {"cosine": cosine_spectrum(), "ar1": ar1_spectrum(), "flat": flat_spectrum(1.0, 4096)}
+
+
+def fit_counting(spectrum, target, tol=1e-6):
+    """fit_lambdas, and the number of evaluate() calls it made."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return evaluate(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rdf, "evaluate", counted)
+        pt = fit_lambdas(spectrum, target, tol=tol)
+    return pt, len(calls)
 
 
 class TestEvaluate:
@@ -149,6 +170,41 @@ class TestFit:
         assert abs(pt.d_side - ds) <= tol
         assert abs(pt.d_central - dc) <= tol
 
+    @pytest.mark.parametrize("source, u, v", [("cosine", 0.75, 0.8), ("ar1", 0.95, 0.95)])
+    def test_step_control_targets(self, source, u, v):
+        # (D_S, D_C) = (u, u v) times the variance. A log step scaled to
+        # length 2 stalls on AR(1) (the Newton step drives lambda2 towards
+        # 0 while lambda1 hardly moves); a log step clipped to 2 per
+        # component stalls on cosine
+        spectrum = SPECTRA[source]
+        ds, dc = u * spectrum.variance, u * v * spectrum.variance
+        tol = 1e-6
+        pt, evaluations = fit_counting(spectrum, DistortionPair(ds, dc), tol)
+        assert pt.lambdas.lambda1 > 0.0 and pt.lambdas.lambda2 > 0.0
+        assert abs(pt.d_side - ds) <= tol
+        assert abs(pt.d_central - dc) <= tol
+        assert evaluations <= 30
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        source=st.sampled_from(["cosine", "ar1", "flat"]),
+        u=st.floats(0.05, 0.95),
+        v=st.floats(0.05, 0.95),
+    )
+    def test_targets_met_in_few_evaluations(self, source, u, v):
+        # (D_S, D_C) = (u, u v) times the variance
+        spectrum = SPECTRA[source]
+        ds, dc = u * spectrum.variance, u * v * spectrum.variance
+        tol = 1e-6
+        pt, evaluations = fit_counting(spectrum, DistortionPair(ds, dc), tol)
+        if pt.lambdas.lambda1 > 0.0 and pt.lambdas.lambda2 > 0.0:
+            assert abs(pt.d_side - ds) <= tol
+            assert abs(pt.d_central - dc) <= tol
+            assert evaluations <= 30
+        else:  # a slack target: its edge point in one evaluation
+            assert pt.d_side <= ds + tol and pt.d_central <= dc + tol
+            assert evaluations == 1
+
     def test_lower_envelope(self, cosine, example1_point):
         # no multiplier pair meeting the solved point's distortions beats its rate
         target_ds = example1_point.d_side
@@ -162,6 +218,59 @@ class TestFit:
             pt = evaluate(cosine, lam)
             if pt.d_side <= target_ds + 1e-9 and pt.d_central <= target_dc + 1e-9:
                 assert pt.rate >= fitted.rate - 1e-6
+
+
+class TestDistortionJacobian:
+    @staticmethod
+    def central_differences(spectrum, lambdas, column):
+        lam = list(lambdas)
+        h = 1e-6 * lam[column]
+        lam[column] += h
+        up = evaluate(spectrum, LagrangePair(*lam))
+        lam[column] -= 2.0 * h
+        down = evaluate(spectrum, LagrangePair(*lam))
+        return np.array([up.d_side - down.d_side, up.d_central - down.d_central]) / (2.0 * h)
+
+    @staticmethod
+    def bin_counts(spectrum, pt):
+        """Interior, tm = S/2 edge and zero-rate corner bins."""
+        corner = pt.spectra.boundary_mask
+        edge = ~corner & (pt.spectra.theta_minus == 0.5 * spectrum.values)
+        return int(np.sum(~corner & ~edge)), int(np.sum(edge)), int(np.sum(corner))
+
+    @pytest.mark.parametrize(
+        "source, lambdas, has_corner",
+        [
+            ("cosine", (0.238, 2.7), True),
+            ("cosine", (10.0, 0.01), True),
+            ("ar1", (0.238, 2.7), False),
+            ("ar1", (0.02, 0.2), True),
+        ],
+    )
+    def test_interior_and_corner_bins(self, source, lambdas, has_corner):
+        spectrum = SPECTRA[source]
+        pt = evaluate(spectrum, LagrangePair(*lambdas))
+        interior, edge, corner = self.bin_counts(spectrum, pt)
+        assert interior > 0 and edge == 0 and (corner > 0) == has_corner
+        J = distortion_jacobian(spectrum, pt)
+        fd = np.column_stack([self.central_differences(spectrum, lambdas, k) for k in (0, 1)])
+        assert np.allclose(J, fd, rtol=0.0, atol=1e-6 * np.max(np.abs(J)))
+        assert J[0, 1] == J[1, 0]
+        assert np.all(np.linalg.eigvalsh(J) < 0.0)
+
+    @pytest.mark.parametrize("source, lambda2", [("cosine", 0.5), ("ar1", 0.05)])
+    def test_edge_bins(self, source, lambda2):
+        # at lambda1 = 0 every bin off the corner sits at tm = S/2; there
+        # lambda1 cannot fall, so only the lambda2 column is a derivative
+        spectrum = SPECTRA[source]
+        lambdas = (0.0, lambda2)
+        pt = evaluate(spectrum, LagrangePair(*lambdas))
+        interior, edge, corner = self.bin_counts(spectrum, pt)
+        assert interior == 0 and edge > 0 and corner > 0
+        J = distortion_jacobian(spectrum, pt)
+        fd = self.central_differences(spectrum, lambdas, 1)
+        assert np.allclose(J[:, 1], fd, rtol=1e-6, atol=0.0)
+        assert J[0, 1] == J[1, 0]
 
 
 class TestSlackEdges:

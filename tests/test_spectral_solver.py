@@ -18,6 +18,7 @@ from mdrdf.spectral_solver import (
     discriminant_product_form,
     lagrangian,
     lagrangian_gradient,
+    lagrangian_hessian,
     solve_spectrum,
     theta_plus_of_psi,
 )
@@ -127,6 +128,14 @@ class TestStationaryPoint:
         fd_m = (lagrangian(S, tp, tm + h, lam) - lagrangian(S, tp, tm - h, lam)) / (2 * h)
         assert gp == pytest.approx(fd_p, rel=1e-6)
         assert gm == pytest.approx(fd_m, rel=1e-6)
+        # the Hessian against differences of the gradient
+        h11, h12, h22 = lagrangian_hessian(S, tp, tm, lam)
+        up_p, down_p = lagrangian_gradient(S, tp + h, tm, lam), lagrangian_gradient(S, tp - h, tm, lam)
+        up_m, down_m = lagrangian_gradient(S, tp, tm + h, lam), lagrangian_gradient(S, tp, tm - h, lam)
+        assert h11 == pytest.approx((up_p[0] - down_p[0]) / (2 * h), rel=1e-6)
+        assert h12 == pytest.approx((up_p[1] - down_p[1]) / (2 * h), rel=1e-6)
+        assert h12 == pytest.approx((up_m[0] - down_m[0]) / (2 * h), rel=1e-6)
+        assert h22 == pytest.approx((up_m[1] - down_m[1]) / (2 * h), rel=1e-6)
 
     def test_example1_limit_at_low_frequency(self, example1_point, cosine):
         # as omega -> 0 the cosine spectrum tends to 2; the single-frequency
