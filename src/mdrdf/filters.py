@@ -20,23 +20,6 @@ from .spectra import PredictorCoeffs, Spectrum, optimal_predictor
 
 
 @dataclass(frozen=True)
-class InterleavedSpectrum:
-    """Upsampled-rate noise spectrum on a length-2N midpoint grid.
-
-    The lowpass half carries the frequency-compressed symmetric noise
-    (2 theta_plus), the highpass half the antisymmetric noise
-    (2 theta_minus), oriented so that downsampling by two folds both
-    halves onto the source grid without mirroring.
-    """
-
-    values: NDArray[np.float64]
-
-    @property
-    def spectrum(self) -> Spectrum:
-        return Spectrum(self.values)
-
-
-@dataclass(frozen=True)
 class PrePostFilters:
     """Zero-phase magnitude responses of the pre filter F and post filter G."""
 
@@ -44,16 +27,18 @@ class PrePostFilters:
     g_mag: NDArray[np.float64]
 
 
-def interleave_theta(noise: NoiseSpectra) -> InterleavedSpectrum:
+def interleave_theta(noise: NoiseSpectra) -> Spectrum:
     """Interleave (theta_plus, theta_minus) into the upsampled-rate mask.
 
-    On the length-2N midpoint grid the first N bins are 2 theta_plus in
-    order and the last N bins are 2 theta_minus reversed; both halves then
-    alias back onto the source grid bin-for-bin after downsampling by two.
+    On the length-2N midpoint grid the lowpass half carries the
+    frequency-compressed symmetric noise, the first N bins 2 theta_plus in
+    order, and the highpass half the antisymmetric noise, the last N bins
+    2 theta_minus reversed; both halves then alias back onto the source
+    grid bin-for-bin, without mirroring, after downsampling by two.
     """
     tp = np.asarray(noise.theta_plus, dtype=np.float64)
     tm = np.asarray(noise.theta_minus, dtype=np.float64)
-    return InterleavedSpectrum(np.concatenate([2.0 * tp, 2.0 * tm[::-1]]))
+    return Spectrum(np.concatenate([2.0 * tp, 2.0 * tm[::-1]]))
 
 
 def noise_shaper(mask: Spectrum, order: int) -> PredictorCoeffs:

@@ -3,17 +3,18 @@
 Three structures are simulated: the single-description distortion-mask
 channel, the two-description equivalent channel (upsampled prediction
 inside a common noise-shaping loop), and the nested encoder/decoder codec
-with per-description prediction loops. Noise injection is either white
-Gaussian (awgn mode) or a scalar subtractive-dither uniform quantizer
-(ecdq mode); both have identical second moments when step^2/12 equals the
-injected variance, which is what every measured quantity depends on.
+with per-description prediction loops. One encoder serves all three, at
+stride 1 for the single-description channel and at stride 2 for the two
+interleaved descriptions. Noise injection is either white Gaussian (awgn
+mode) or a scalar subtractive-dither uniform quantizer (ecdq mode); both
+have identical second moments when step^2/12 equals the injected
+variance, which is what every measured quantity depends on.
 
 The noise shaper is the recursive filter 1 + C = 1/(1 - Q) of the mask
 predictor Q. Only ecdq mode runs the sequential loop, because the
 quantizer makes it nonlinear. In awgn mode the loop algebra collapses to
-V = U + Z/(1 - Q) and Y = (1 - A) V, which both two-description
-structures and the single-description channel evaluate by vectorized
-filtering.
+V = U + Z/(1 - Q) and Y = (1 - A) V, which the encoder evaluates by
+vectorized filtering.
 
 The ecdq loop runs as a compiled C kernel (`dsq_kernel`). The first ecdq
 run builds it with the system compiler `cc` into `$XDG_CACHE_HOME/mdrdf`
@@ -48,22 +49,45 @@ from .spectra import PredictorCoeffs, Spectrum, entropy_power, midpoint_omega, o
 MODES = ("awgn", "ecdq")
 ERASURES = ("none", "lose_desc1", "lose_desc2")
 
+# The time-domain filter design is fixed.
+# Source predictor A, which also synthesizes the source as an AR process:
+# at order 32 the cosine spectrum's prediction error is within 3% of its
+# entropy power.
+PREDICTOR_ORDER = 32
+# Mask predictor Q of the noise shaper 1/(1 - Q): the interleaved mask
+# steps at pi/2, and at order 96 the shaped noise follows a two-step mask
+# within 5% away from the step.
+SHAPER_ORDER = 96
+# Kaiser half-band filters: the encoder's interpolator and the central
+# decoder. 511 = 1023 modulo 4, so their total group delay (255 + 511
+# upsampled samples) is even and the central path lands on the integer
+# source-sample grid, 383 samples late.
+INTERP_TAPS = 511
+DECODER_TAPS = 1023
+_CENTRAL_DELAY = (INTERP_TAPS - 1) // 2 + (DECODER_TAPS - 1) // 2
+# Zero-rate bins of a mask are raised to this floor before the shaper's
+# predictor fit and the rate's entropy power, which need a positive mask.
+MASK_FLOOR = 1e-5
+# Samples dropped at each end of every measured window: more than the
+# longest filter transient, 863 = SHAPER_ORDER + (INTERP_TAPS +
+# DECODER_TAPS) // 2.
+WARMUP = 2048
+
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run parameters for the time-domain simulations."""
+    """Run parameters for the time-domain simulations.
+
+    The Welch segment must be a power of two, with 8 segments in the
+    shortest measured window: the central path's, num_samples - 2 * WARMUP
+    - 384 samples.
+    """
 
     num_samples: int = 1 << 18
     seed: int = 0
     mode: str = "awgn"
-    warmup: Optional[int] = None
     erasure: str = "none"
     welch_segment: int = 4096
-    predictor_order: int = 32
-    shaper_order: int = 96
-    interp_taps: int = 511
-    decoder_taps: int = 1023
-    mask_floor: float = 1e-5
 
     def __post_init__(self):
         if self.num_samples < (1 << 16):
@@ -72,12 +96,15 @@ class SimConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.erasure not in ERASURES:
             raise ValueError(f"erasure must be one of {ERASURES}")
-        if self.warmup is not None and self.warmup > self.num_samples // 8:
-            raise ValueError("warmup leaves too few samples")
-        # equal tap parity keeps the total interpolator group delay even,
-        # which pins the central path to the integer sample grid
-        if self.interp_taps % 4 != self.decoder_taps % 4:
-            raise ValueError("interp_taps and decoder_taps must agree modulo 4")
+        seg = self.welch_segment
+        if seg < 2 or seg & (seg - 1):
+            raise ValueError(f"welch segment {seg} is not a power of two")
+        window = self.num_samples - 2 * WARMUP - (_CENTRAL_DELAY // 2 + 1)
+        if seg > window // 8:
+            raise ValueError(
+                f"welch segment {seg} leaves fewer than 8 segments in the "
+                f"{window}-sample measured window"
+            )
 
 
 @dataclass(frozen=True)
@@ -211,15 +238,14 @@ def _trim_taps(coeffs: NDArray[np.float64], tol: float = 1e-14) -> NDArray[np.fl
     return coeffs[: nz[-1] + 1] if nz.size else np.zeros(0)
 
 
-def _synth_source(spectrum: Spectrum, order: int, rng: np.random.Generator, n: int):
-    """AR(order) realization of the spectrum: innovation filtering."""
-    pred = optimal_predictor(spectrum, order)
+def _synth_source(spectrum: Spectrum, rng: np.random.Generator, n: int):
+    """AR(PREDICTOR_ORDER) realization of the spectrum, and its predictor taps."""
+    pred = optimal_predictor(spectrum, PREDICTOR_ORDER)
     a = _trim_taps(pred.coeffs)
     innov = rng.standard_normal(n) * math.sqrt(pred.innovation_variance)
     if a.size == 0:
-        return innov, a, pred.innovation_variance
-    x = _sig.lfilter([1.0], np.r_[1.0, -a], innov)
-    return x, a, pred.innovation_variance
+        return innov, a
+    return _sig.lfilter([1.0], np.r_[1.0, -a], innov), a
 
 
 def _zero_phase(x: NDArray[np.float64], mag: NDArray[np.float64], omega) -> NDArray[np.float64]:
@@ -297,33 +323,54 @@ def _empirical_entropy(indices: NDArray[np.int64]) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def _auto_warmup(cfg: SimConfig, shaper_order: int, interpolated: bool = True) -> int:
-    transient = max(cfg.predictor_order, shaper_order)
-    if interpolated:
-        transient += (cfg.interp_taps + cfg.decoder_taps) // 2
-    if cfg.warmup is not None:
-        if cfg.warmup < transient:
-            raise ValueError(
-                f"warmup {cfg.warmup} is below the filter transient length {transient}"
-            )
-        return cfg.warmup
-    w = max(
-        2048,
-        cfg.interp_taps + cfg.decoder_taps if interpolated else 0,
-        8 * cfg.predictor_order,
-        2 * shaper_order,
-    )
-    return min(max(w, transient), cfg.num_samples // 8)
+def _shaper_for_mask(mask: Spectrum) -> PredictorCoeffs:
+    return noise_shaper(Spectrum(np.maximum(mask.values, MASK_FLOOR)), SHAPER_ORDER)
 
 
-def _shaper_for_mask(mask_values: NDArray[np.float64], cfg: SimConfig) -> PredictorCoeffs:
-    floored = Spectrum(np.maximum(mask_values, cfg.mask_floor))
-    return noise_shaper(floored, cfg.shaper_order)
-
-
-def _analytic_rate(source: Spectrum, mask_values: NDArray[np.float64], floor: float) -> float:
-    vals = mask_values if np.all(mask_values > 0) else np.maximum(mask_values, floor)
+def _analytic_rate(source: Spectrum, mask: Spectrum) -> float:
+    vals = mask.values if np.all(mask.values > 0) else np.maximum(mask.values, MASK_FLOOR)
     return 0.5 * math.log(entropy_power(source) / entropy_power(Spectrum(vals)))
+
+
+def _interpolate(x: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Zero-stuff x by two and interpolate with the encoder's half-band filter."""
+    up = np.zeros(2 * x.size)
+    up[::2] = x
+    return _sig.lfilter(2.0 * halfband_interpolator(INTERP_TAPS), [1.0], up)
+
+
+def _encode(source: Spectrum, mask: Spectrum, f_mag: NDArray[np.float64], stride: int,
+            cfg: SimConfig):
+    """The encoder of all three structures.
+
+    Synthesizes the source x, applies the pre filter F and, at stride 2,
+    interpolates to the upsampled rate of the two interleaved descriptions.
+    The loop then predicts from the reconstructions `stride`, 2 `stride`,
+    ... samples back and injects noise shaped by the mask predictor:
+    vectorized in awgn mode, the sequential loop in ecdq mode. One seed
+    fixes every stream: [seed, 1] the source, [seed, 2] the awgn noise and
+    the stride-1 dither, [seed, 3] and [seed, 4] the dithers of the even
+    and the odd samples at stride 2. Returns (x, a, shaper, V, Y, indices),
+    with indices None in awgn mode.
+    """
+    x, a = _synth_source(source, np.random.default_rng([cfg.seed, 1]), cfg.num_samples)
+    shaper = _shaper_for_mask(mask)
+    u = _zero_phase(x, f_mag, source.omega)
+    if stride == 2:
+        u = _interpolate(u)
+    m = u.size
+    if cfg.mode == "awgn":
+        rng = np.random.default_rng([cfg.seed, 2])
+        z = rng.standard_normal(m) * math.sqrt(shaper.innovation_variance)
+        v = u + _sig.lfilter([1.0], np.r_[1.0, -shaper.coeffs], z)
+        return x, a, shaper, v, _apply_predictor_error(v, a, stride), None
+    step = math.sqrt(12.0 * shaper.innovation_variance)
+    dither = np.empty(m)
+    for k, stream in enumerate((2,) if stride == 1 else (3, 4)):
+        state = QuantizerState(step=step, rng=np.random.default_rng([cfg.seed, stream]))
+        dither[k::stride] = state.draw_dither(m // stride)
+    v, y, indices = _ecdq_loop(u, a, shaper.coeffs, stride=stride, dither=dither, step=step)
+    return x, a, shaper, v, y, indices
 
 
 def run_sd_mask_channel(source: Spectrum, mask: Spectrum, cfg: SimConfig) -> SimReport:
@@ -337,160 +384,86 @@ def run_sd_mask_channel(source: Spectrum, mask: Spectrum, cfg: SimConfig) -> Sim
     if np.any(mask.values > source.values * (1.0 + 1e-12)):
         raise MaskExceedsSource("mask exceeds the source spectrum")
     n = cfg.num_samples
-    om = source.omega
-    rng_src = np.random.default_rng([cfg.seed, 1])
-    rng_noise = np.random.default_rng([cfg.seed, 2])
-
-    x, a, _ = _synth_source(source, cfg.predictor_order, rng_src, n)
-    shaper = _shaper_for_mask(mask.values, cfg)
-    sz2 = shaper.innovation_variance
     f_mag = sd_prefilter(source, mask)
-    u = _zero_phase(x, f_mag, om)
-
-    if cfg.mode == "awgn":
-        z = rng_noise.standard_normal(n) * math.sqrt(sz2)
-        v = u + _sig.lfilter([1.0], np.r_[1.0, -shaper.coeffs], z)
-        indices = None
-    else:
-        state = QuantizerState(step=math.sqrt(12.0 * sz2), rng=rng_noise)
-        dither = state.draw_dither(n)
-        v, _, indices = _ecdq_loop(u, a, shaper.coeffs, stride=1, dither=dither, step=state.step)
-    y = _apply_predictor_error(v, a, stride=1)
-    xhat = _zero_phase(v, f_mag, om)
+    x, _, shaper, v, y, indices = _encode(source, mask, f_mag, 1, cfg)
+    xhat = _zero_phase(v, f_mag, source.omega)
 
     # one measured window for the distortion, the PSDs and the rate
-    warm = _auto_warmup(cfg, shaper.order, interpolated=False)
-    sl = slice(warm, n - warm)
+    sl = slice(WARMUP, n - WARMUP)
     err = (xhat - x)[sl]
     y_trim = y[sl]
-    report = SimReport(
+    return SimReport(
         d_side_1=None,
         d_side_2=None,
         d_central=float(np.mean(err * err)),
-        rate_analytical=_analytic_rate(source, mask.values, cfg.mask_floor),
+        rate_analytical=_analytic_rate(source, mask),
         rate_empirical=_empirical_entropy(indices[sl]) if indices is not None else None,
         psd_y=welch_psd(y_trim, cfg.welch_segment),
         psd_err_side=None,
         psd_err_central=welch_psd(err, cfg.welch_segment),
         y_variance=float(np.var(y_trim)),
-        noise_variance=sz2,
+        noise_variance=shaper.innovation_variance,
     )
-    return report
 
 
-def _md_encode(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig):
-    """Shared encoder of the two-description structures.
-
-    Front end (source, pre filter F, interpolation to the upsampled rate),
-    noise streams and the upsampled-rate loop: vectorized in awgn mode,
-    the sequential loop in ecdq mode. Returns
-    (x, a, tilde, shaper, pp, ref, V, Y, indices).
-    """
+def _run_md(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig, decode) -> SimReport:
+    """Encode the two descriptions, rebuild V as decode(a, V, Y), and
+    measure the side paths of the kept descriptions and, if both are kept,
+    the central path."""
     n = cfg.num_samples
     om = source.omega
-    rng_src = np.random.default_rng([cfg.seed, 1])
-
-    x, a, _ = _synth_source(source, cfg.predictor_order, rng_src, n)
     tilde = interleave_theta(noise)
-    shaper = _shaper_for_mask(tilde.values, cfg)
     pp = pre_post_filters(source, noise)
+    x, a, shaper, v_up, y_up, indices = _encode(source, tilde, pp.f_mag, 2, cfg)
+    v_up = decode(a, v_up, y_up)
+    ref = _interpolate(x)
 
-    xf = _zero_phase(x, pp.f_mag, om)
-    h_enc = 2.0 * halfband_interpolator(cfg.interp_taps)
-    u0 = np.zeros(2 * n)
-    u0[::2] = xf
-    u = _sig.lfilter(h_enc, [1.0], u0)
-    r0 = np.zeros(2 * n)
-    r0[::2] = x
-    ref = _sig.lfilter(h_enc, [1.0], r0)
+    kept = [k for k in (0, 1) if cfg.erasure != f"lose_desc{k + 1}"]
+    xh = {k: _zero_phase(v_up[k::2], pp.f_mag, om) for k in kept}
+    err = {k: (xh[k] - ref[k::2])[WARMUP : n - WARMUP] for k in kept}
+    d_side = [float(np.mean(err[k] * err[k])) if k in err else None for k in (0, 1)]
 
-    sz2 = shaper.innovation_variance
-    if cfg.mode == "awgn":
-        rng_noise = np.random.default_rng([cfg.seed, 2])
-        z = rng_noise.standard_normal(2 * n) * math.sqrt(sz2)
-        v_up = u + _sig.lfilter([1.0], np.r_[1.0, -shaper.coeffs], z)
-        y_up = _apply_predictor_error(v_up, a, stride=2)
-        indices = None
-    else:
-        step = math.sqrt(12.0 * sz2)
-        s1 = QuantizerState(step=step, rng=np.random.default_rng([cfg.seed, 3]))
-        s2 = QuantizerState(step=step, rng=np.random.default_rng([cfg.seed, 4]))
-        dither = np.zeros(2 * n)
-        dither[0::2] = s1.draw_dither(n)
-        dither[1::2] = s2.draw_dither(n)
-        v_up, y_up, indices = _ecdq_loop(u, a, shaper.coeffs, stride=2, dither=dither, step=step)
-    return x, a, tilde, shaper, pp, ref, v_up, y_up, indices
-
-
-def _md_measure(source, cfg, x, tilde, shaper, pp, ref, v_up, y_up, indices):
-    """Decode side and central paths from the upsampled loop output."""
-    n = cfg.num_samples
-    om = source.omega
-    me = (cfg.interp_taps - 1) // 2
-    md = (cfg.decoder_taps - 1) // 2
-
-    v1, v2 = v_up[0::2], v_up[1::2]
-    r1, r2 = ref[0::2], ref[1::2]
-    want_1 = cfg.erasure != "lose_desc1"
-    want_2 = cfg.erasure != "lose_desc2"
-    want_c = want_1 and want_2
-
-    h_dec = halfband_interpolator(cfg.decoder_taps)
-    warm = _auto_warmup(cfg, shaper.order)
-
-    d1 = d2 = dc = None
-    err1 = errc = None
-    if want_1:
-        xh1 = _zero_phase(v1, pp.f_mag, om)
-        err1_full = xh1 - r1
-        err1 = err1_full[warm : n - warm]
-        d1 = float(np.mean(err1 * err1))
-    if want_2:
-        xh2 = _zero_phase(v2, pp.f_mag, om)
-        err2_full = xh2 - r2
-        err2 = err2_full[warm : n - warm]
-        d2 = float(np.mean(err2 * err2))
-        if err1 is None:
-            err1 = err2
-    if want_c:
-        w = _sig.lfilter(h_dec, [1.0], v_up)
-        n_central = n - (me + md) // 2 - 1
-        pick = 2 * np.arange(n_central) + me + md
-        wc = w[pick]
-        xhc = _zero_phase(wc, pp.g_mag, om)
-        errc_full = xhc - x[:n_central]
-        errc = errc_full[warm : n_central - warm]
+    dc = errc = None
+    if len(kept) == 2:
+        w = _sig.lfilter(halfband_interpolator(DECODER_TAPS), [1.0], v_up)
+        n_central = n - _CENTRAL_DELAY // 2 - 1
+        wc = w[2 * np.arange(n_central) + _CENTRAL_DELAY]
+        errc = (_zero_phase(wc, pp.g_mag, om) - x[:n_central])[WARMUP : n_central - WARMUP]
         dc = float(np.mean(errc * errc))
 
-    # description process at the source rate
-    y_desc = y_up[0::2] if want_1 else y_up[1::2]
-    y_trim = y_desc[warm : n - warm]
+    # the first kept description gives the description process and the side PSD
+    y_trim = y_up[kept[0] :: 2][WARMUP : n - WARMUP]
 
     rate_emp = None
     if indices is not None:
-        sl = slice(2 * warm, 2 * (n - warm))
-        rate_emp = 0.5 * (
-            _empirical_entropy(indices[sl][0::2]) + _empirical_entropy(indices[sl][1::2])
-        )
+        idx = indices[2 * WARMUP : 2 * (n - WARMUP)]
+        rate_emp = 0.5 * (_empirical_entropy(idx[0::2]) + _empirical_entropy(idx[1::2]))
 
     return SimReport(
-        d_side_1=d1,
-        d_side_2=d2,
+        d_side_1=d_side[0],
+        d_side_2=d_side[1],
         d_central=dc,
-        rate_analytical=_analytic_rate(source, tilde.values, cfg.mask_floor),
+        rate_analytical=_analytic_rate(source, tilde),
         rate_empirical=rate_emp,
         psd_y=welch_psd(y_trim, cfg.welch_segment),
-        psd_err_side=welch_psd(err1, cfg.welch_segment) if err1 is not None else None,
+        psd_err_side=welch_psd(err[kept[0]], cfg.welch_segment),
         psd_err_central=welch_psd(errc, cfg.welch_segment) if errc is not None else None,
         y_variance=float(np.var(y_trim)),
         noise_variance=shaper.innovation_variance,
     )
 
 
+def _decode_descriptions(a, v_up, y_up):
+    """Rebuild each description's V from its own Y by 1/(1 - A)."""
+    v_up = np.zeros_like(y_up)
+    for k in (0, 1):
+        v_up[k::2] = _sig.lfilter([1.0], np.r_[1.0, -a], y_up[k::2])
+    return v_up
+
+
 def run_md_channel(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig) -> SimReport:
     """Two-description equivalent channel: the decoders read V directly."""
-    x, _, tilde, shaper, pp, ref, v_up, y_up, indices = _md_encode(source, noise, cfg)
-    return _md_measure(source, cfg, x, tilde, shaper, pp, ref, v_up, y_up, indices)
+    return _run_md(source, noise, cfg, lambda a, v_up, y_up: v_up)
 
 
 def run_md_codec(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig) -> SimReport:
@@ -503,9 +476,4 @@ def run_md_codec(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig) -> SimRe
     re-interleaving for the central path, so surviving a description
     erasure needs nothing from the lost stream.
     """
-    x, a, tilde, shaper, pp, ref, _, y_up, indices = _md_encode(source, noise, cfg)
-    den = np.r_[1.0, -a]
-    v_up = np.zeros_like(y_up)
-    v_up[0::2] = _sig.lfilter([1.0], den, y_up[0::2])
-    v_up[1::2] = _sig.lfilter([1.0], den, y_up[1::2])
-    return _md_measure(source, cfg, x, tilde, shaper, pp, ref, v_up, y_up, indices)
+    return _run_md(source, noise, cfg, _decode_descriptions)

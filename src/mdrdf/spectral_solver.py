@@ -302,12 +302,11 @@ def solve_spectrum(S_values: NDArray[np.float64], lam: LagrangePair):
 
     valid = (psi > 0.0) & (psi <= half * (1.0 + CORNER_SNAP_RTOL))
     psi_c = np.minimum(psi, half)
+    # psi_c <= S/2 makes denom >= 2 S (l1 + 2 l2) > 0, so tp > 0
     denom = 4.0 * S * (l1 + l2) - 4.0 * l1 * psi_c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tp = np.where(denom > 0.0, (S - psi_c) / denom, -1.0)
-    valid &= denom > 0.0
-    valid &= (tp >= -CORNER_SNAP_RTOL * half) & (tp <= psi_c * (1.0 + 1e-9))
-    tp = np.clip(tp, 0.0, psi_c)
+    tp = (S - psi_c) / denom
+    valid &= tp <= psi_c * (1.0 + 1e-9)
+    tp = np.minimum(tp, psi_c)
     support = 2.0 * l1 * S + 8.0 * l2 * psi_c > 1.0
     interior = valid & support & (tp < half * (1.0 - CORNER_SNAP_RTOL))
 

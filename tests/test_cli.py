@@ -263,6 +263,28 @@ class TestSimulateCommand:
         code, _, _ = run_cli(["simulate", "--spectrum", "flat:1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("welch, message", [("8192", "8 segments"), ("1000", "power of two")])
+    def test_bad_welch_exit_2_before_simulating(self, welch, message, capsys, monkeypatch):
+        from mdrdf import sim
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated although --welch was rejected")
+
+        monkeypatch.setattr(sim, "run_md_codec", no_run)
+        code, _, err = run_cli(
+            [
+                "simulate",
+                "--spectrum", "cosine",
+                "--lambda1", "0.238",
+                "--lambda2", "2.7",
+                "--samples", "65536",
+                "--welch", welch,
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert message in err
+
     def test_readme_round_trip(self, capsys, tmp_path):
         # the worked example's zero-rate bins must read back inside the
         # triangle, or simulate rejects the CSV with exit 3

@@ -36,14 +36,14 @@ class TestInterleave:
     def test_flat_pair(self):
         tilde = interleave_theta(flat_noise(0.05, 0.05, 64))
         assert np.all(tilde.values == 0.1)
-        assert entropy_power(tilde.spectrum) == pytest.approx(0.1, rel=1e-12)
+        assert entropy_power(tilde) == pytest.approx(0.1, rel=1e-12)
 
     def test_two_step_for_white_source(self):
         tilde = interleave_theta(flat_noise(0.05, 0.2, 64))
         assert np.all(tilde.values[:64] == 0.1)
         assert np.all(tilde.values[64:] == 0.4)
         want = 2.0 * np.sqrt(0.05 * 0.2)
-        assert entropy_power(tilde.spectrum) == pytest.approx(want, rel=1e-12)
+        assert entropy_power(tilde) == pytest.approx(want, rel=1e-12)
 
     def test_entropy_power_identity_example1(self, example1_point):
         spectra = example1_point.spectra
@@ -52,7 +52,7 @@ class TestInterleave:
             entropy_power(Spectrum(spectra.theta_plus))
             * entropy_power(Spectrum(spectra.theta_minus))
         )
-        assert entropy_power(tilde.spectrum) == pytest.approx(want, rel=1e-6)
+        assert entropy_power(tilde) == pytest.approx(want, rel=1e-6)
 
     def test_orientation_folds_back_onto_source_grid(self):
         # downsampling by two must map both halves bin-for-bin: the lowpass

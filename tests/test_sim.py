@@ -175,7 +175,7 @@ class TestDsqLoop:
         # inside the cell, and Y must be the prediction error of V
         from scipy import signal as sig
 
-        q = noise_shaper(interleave_theta(flat_noise(0.05, 0.2, 256)).spectrum, 96)
+        q = noise_shaper(interleave_theta(flat_noise(0.05, 0.2, 256)), 96)
         assert q.order == 96
         a = np.array([0.9])
         n = 1 << 14
@@ -277,6 +277,33 @@ class TestCompiledLoop:
         assert_matches_reference(loop(*args), _dsq_loop(*args))
 
 
+class TestSeedContract:
+    """The README's seed contract for the dithers: each loop's dither stream
+    is a fixed child of the one seed, whichever structure runs it."""
+
+    def test_stride_one_dither(self, ar1, monkeypatch):
+        calls = record_loop(monkeypatch)
+        cfg = SimConfig(num_samples=1 << 16, seed=31, mode="ecdq")
+        report = run_sd_mask_channel(ar1, flat_spectrum(0.1, ar1.grid_size), cfg)
+        (_, kwargs, _), = calls
+        assert kwargs["stride"] == 1
+        assert kwargs["step"] == math.sqrt(12.0 * report.noise_variance)
+        state = QuantizerState(kwargs["step"], np.random.default_rng([31, 2]))
+        np.testing.assert_array_equal(kwargs["dither"], state.draw_dither(1 << 16))
+
+    def test_stride_two_dithers(self, ar1, monkeypatch):
+        calls = record_loop(monkeypatch)
+        cfg = SimConfig(num_samples=1 << 16, seed=32, mode="ecdq")
+        report = run_md_codec(ar1, flat_noise(0.05, 0.2, ar1.grid_size), cfg)
+        (_, kwargs, _), = calls
+        assert kwargs["stride"] == 2
+        assert kwargs["step"] == math.sqrt(12.0 * report.noise_variance)
+        # even samples carry description 1's dither, odd ones description 2's
+        for k, stream in ((0, 3), (1, 4)):
+            state = QuantizerState(kwargs["step"], np.random.default_rng([32, stream]))
+            np.testing.assert_array_equal(kwargs["dither"][k::2], state.draw_dither(1 << 16))
+
+
 class TestSdMaskChannel:
     def test_flat_mask_on_ar1(self, ar1):
         cfg = SimConfig(num_samples=1 << 17, seed=10)
@@ -300,7 +327,7 @@ class TestSdMaskChannel:
         vals = np.full(n, 0.05)
         vals[n // 2 :] = 0.3
         mask = Spectrum(vals)
-        cfg = SimConfig(num_samples=1 << 18, seed=12, shaper_order=64)
+        cfg = SimConfig(num_samples=1 << 18, seed=12)
         report = run_sd_mask_channel(flat_spectrum(1.0, n), mask, cfg)
         got = band_means(report.psd_err_central, 16)
         want = band_means(mask, 16)
@@ -391,7 +418,7 @@ class TestMdCodec:
         noise = flat_noise(0.1, 0.1, n)
         report = run_md_codec(src, noise, SimConfig(num_samples=1 << 16, seed=20, mode="ecdq"))
         tilde = interleave_theta(noise)
-        assert report.noise_variance == pytest.approx(entropy_power(tilde.spectrum), rel=1e-9)
+        assert report.noise_variance == pytest.approx(entropy_power(tilde), rel=1e-9)
 
     def test_erasure_lose_desc2(self):
         n = 512
@@ -432,17 +459,23 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(num_samples=1 << 10)
 
-    def test_explicit_warmup_below_transient_rejected(self, ar1):
-        cfg = SimConfig(num_samples=1 << 16, warmup=8)
-        with pytest.raises(ValueError, match="transient"):
-            run_sd_mask_channel(ar1, flat_spectrum(0.1, ar1.grid_size), cfg)
-
     def test_mode_and_erasure_validation(self):
         with pytest.raises(ValueError):
             SimConfig(mode="bogus")
         with pytest.raises(ValueError):
             SimConfig(erasure="lose_both")
+        with pytest.raises(ValueError, match="power of two"):
+            SimConfig(welch_segment=1000)
+        # 65536 - 2 * 2048 - 384 = 61056 samples hold 7 segments of 8192
+        with pytest.raises(ValueError, match="8 segments"):
+            SimConfig(num_samples=1 << 16, welch_segment=8192)
 
-    def test_tap_parity_validation(self):
-        with pytest.raises(ValueError):
-            SimConfig(interp_taps=511, decoder_taps=1025)
+    def test_welch_segment_fills_shortest_window(self):
+        # at n = 2^16 + 4480 the central window, n - 4480 samples, holds
+        # exactly 8 segments of 8192; one sample fewer is rejected up front
+        n = 512
+        cfg = SimConfig(num_samples=(1 << 16) + 4480, welch_segment=8192)
+        report = run_md_channel(flat_spectrum(1.0, n), flat_noise(0.1, 0.1, n), cfg)
+        assert report.psd_err_central.grid_size == 4096
+        with pytest.raises(ValueError, match="8 segments"):
+            SimConfig(num_samples=(1 << 16) + 4479, welch_segment=8192)
