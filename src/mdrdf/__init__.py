@@ -20,13 +20,8 @@ from .spectra import (
     regularize,
     spectrum_from_predictor,
 )
-from .spectral_solver import (
-    CubicDiagnostics,
-    FrequencySolution,
-    LagrangePair,
-    brute_force_frequency,
-    solve_frequency,
-)
+from .spectral_solver import FrequencySolution, LagrangePair, solve_frequency
+from .verify import CubicDiagnostics, brute_force_frequency
 from .white_md import (
     DistortionPair,
     ThetaPair,

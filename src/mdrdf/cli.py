@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import MdrdfError, NoConvergence, TargetInfeasible
-from .rdf import NoiseSpectra, RdfPoint, evaluate, fit_lambdas, sweep
+from .rdf import NoiseSpectra, RdfPoint, densities, evaluate, fit_lambdas, sweep
 from .spectra import (
     DEFAULT_GRID_SIZE,
     PredictorCoeffs,
@@ -75,9 +75,14 @@ def _manifest(args: list[str], seed: int | None) -> dict:
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as e:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise ConfigError(f"cannot write {path}: {e}") from e
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -180,12 +185,8 @@ def _spectra_csv(spectrum: Spectrum, point: RdfPoint, manifest: dict) -> str:
     tp = point.spectra.theta_plus
     tm = point.spectra.theta_minus
     bound = point.spectra.boundary_mask
-    with np.errstate(divide="ignore"):
-        rate_b = np.where(
-            bound, 0.0, 0.5 * np.log(S / (2.0 * np.sqrt(tp * tm))) / math.log(2.0)
-        )
-    ds = tp + tm
-    dc = S * tp / (S - tm)
+    rate, ds, dc = densities(S, point.spectra)
+    rate_b = rate / math.log(2.0)
     # 17 significant digits read back bit-exact, so a reloaded noise pair
     # stays inside the triangle tp <= tm <= S/2 that simulate checks
     for k in range(spectrum.grid_size):
@@ -205,19 +206,17 @@ def _spectra_csv(spectrum: Spectrum, point: RdfPoint, manifest: dict) -> str:
 
 
 def _load_spectra_csv(path: str) -> tuple[Spectrum, NoiseSpectra]:
-    rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            rows.append(line)
-    reader = csv.DictReader(rows)
     S, tp, tm, bound = [], [], [], []
-    for rec in reader:
-        S.append(float(rec["source"]))
-        tp.append(float(rec["theta_plus"]))
-        tm.append(float(rec["theta_minus"]))
-        bound.append(bool(int(rec.get("on_boundary", "0"))))
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = [line for line in fh if not line.startswith("#")]
+        for rec in csv.DictReader(rows):
+            S.append(float(rec["source"]))
+            tp.append(float(rec["theta_plus"]))
+            tm.append(float(rec["theta_minus"]))
+            bound.append(bool(int(rec.get("on_boundary", "0"))))
+    except (OSError, KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad spectra CSV {path}: {e!r}") from e
     if not S:
         raise ConfigError(f"no spectra rows in {path}")
     return Spectrum(np.asarray(S)), NoiseSpectra(
@@ -243,7 +242,7 @@ def _cmd_solve(args, argv) -> int:
 
 
 def _cmd_fit(args, argv) -> int:
-    if args.ds <= 0 or args.dc <= 0:
+    if not (args.ds > 0 and args.dc > 0):
         raise ConfigError("ds and dc must be positive")
     if args.dc > args.ds:
         raise TargetInfeasible("dc must not exceed ds")

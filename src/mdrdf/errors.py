@@ -29,10 +29,6 @@ class ZeroNoise(MdrdfError):
     """A noise variance that must be positive is zero."""
 
 
-class DenominatorSignError(MdrdfError):
-    """Inconsistent multiplier/root combination (nonpositive denominator)."""
-
-
 class DomainError(MdrdfError):
     """Arguments outside the open domain of the objective."""
 
@@ -55,10 +51,6 @@ class NegativeRadicand(MdrdfError):
 
 class SignalTooShort(MdrdfError):
     """Signal too short for the requested spectral estimate."""
-
-
-class LengthMismatch(MdrdfError):
-    """Signals to compare do not have equal length."""
 
 
 class KernelUnavailableWarning(RuntimeWarning):

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DomainError, NoConvergence, TargetInfeasible
+from .errors import NoConvergence, TargetInfeasible
 from .spectra import Spectrum
 from .spectral_solver import LagrangePair, lagrangian_hessian, solve_spectrum
 from .white_md import DistortionPair, ThetaPair
@@ -57,36 +57,28 @@ class RdfPoint:
         return self.rate / math.log(2.0)
 
 
-def rate_density(S: float, theta_plus: float, theta_minus: float) -> float:
-    """Per-frequency rate (1/2) log(S / (2 sqrt(tp tm))), zero at the corner."""
-    half = 0.5 * S
-    if theta_plus == half and theta_minus == half:
-        return 0.0
-    if not (0.0 < theta_plus <= theta_minus <= half * (1.0 + 1e-12)):
-        raise DomainError(f"(tp, tm)=({theta_plus}, {theta_minus}) outside the triangle")
-    return 0.5 * math.log(S / (2.0 * math.sqrt(theta_plus * theta_minus)))
+def densities(S: NDArray[np.float64], noise: NoiseSpectra):
+    """Per-bin rate (nats), D_S and D_C densities of the noise spectra.
+
+    Boundary (zero-rate) bins have rate 0 and D_S = S, with D_C = S to an ulp.
+    """
+    tp, tm = noise.theta_plus, noise.theta_minus
+    with np.errstate(divide="ignore"):
+        rate = 0.5 * np.log(S / (2.0 * np.sqrt(tp * tm)))
+    return np.where(noise.boundary_mask, 0.0, rate), tp + tm, S * tp / (S - tm)
 
 
 def evaluate(spectrum: Spectrum, lam: LagrangePair) -> RdfPoint:
-    """Solve every grid frequency and integrate rate and distortions.
-
-    Boundary (zero-rate) frequencies contribute rate 0 and distortion
-    densities D_S = D_C = S exactly.
-    """
-    S = spectrum.values
-    tp, tm, boundary = solve_spectrum(S, lam)
-    with np.errstate(divide="ignore"):
-        dens = 0.5 * np.log(S / (2.0 * np.sqrt(tp * tm)))
-    dens = np.where(boundary, 0.0, dens)
-    rate = float(np.mean(dens))
-    d_side = float(np.mean(tp + tm))
-    d_central = float(np.mean(S * tp / (S - tm)))
+    """Solve every grid frequency and integrate rate and distortions."""
+    noise = NoiseSpectra(*solve_spectrum(spectrum.values, lam))
+    rate, d_side, d_central = (float(np.mean(d)) for d in densities(spectrum.values, noise))
     return RdfPoint(
         lambdas=lam,
-        rate=max(rate, 0.0),
+        rate=rate,
         d_side=d_side,
+        # a zero-rate bin's S (S/2) / (S - S/2) can round one ulp above its D_S = S
         d_central=min(d_central, d_side),
-        spectra=NoiseSpectra(tp, tm, boundary),
+        spectra=noise,
     )
 
 

@@ -35,7 +35,7 @@ from numpy.typing import NDArray
 from scipy import signal as _sig
 
 from . import dsq_kernel
-from .errors import LengthMismatch, MaskExceedsSource, SignalTooShort
+from .errors import MaskExceedsSource, SignalTooShort
 from .filters import (
     halfband_interpolator,
     interleave_theta,
@@ -204,33 +204,6 @@ def welch_psd(x: NDArray[np.float64], segment: int) -> Spectrum:
     pxx[-1] *= 2.0
     om = midpoint_omega(segment // 2)
     return Spectrum(np.interp(om, freqs, pxx * np.pi))
-
-
-def band_means(spectrum: Spectrum, n_bands: int, omega_max: float = np.pi):
-    """Mean PSD per equal-width band over [0, omega_max]; helper for tests."""
-    om = spectrum.omega
-    edges = np.linspace(0.0, omega_max, n_bands + 1)
-    means = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = (om >= lo) & (om < hi)
-        means.append(float(np.mean(spectrum.values[sel])))
-    return np.array(means)
-
-
-def measure_distortions(x, xhat1, xhat2, xhat_c, warmup: int):
-    """Mean squared errors against x after discarding warmup samples."""
-    x = np.asarray(x, dtype=np.float64)
-
-    def mse(est):
-        if est is None:
-            return None
-        est = np.asarray(est, dtype=np.float64)
-        if est.size != x.size:
-            raise LengthMismatch(f"length {est.size} != {x.size}")
-        d = (est - x)[warmup:]
-        return float(np.mean(d * d))
-
-    return mse(xhat1), mse(xhat2), mse(xhat_c)
 
 
 def _trim_taps(coeffs: NDArray[np.float64], tol: float = 1e-14) -> NDArray[np.float64]:

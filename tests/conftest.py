@@ -15,6 +15,15 @@ def ar1_spectrum(a=0.9, innovation=1.0, n=4096):
     )
 
 
+def band_means(spectrum, n_bands, omega_max=np.pi):
+    """Mean PSD per equal-width band over [0, omega_max]."""
+    om = spectrum.omega
+    edges = np.linspace(0.0, omega_max, n_bands + 1)
+    return np.array(
+        [np.mean(spectrum.values[(om >= lo) & (om < hi)]) for lo, hi in zip(edges[:-1], edges[1:])]
+    )
+
+
 @pytest.fixture(scope="session")
 def cosine():
     return cosine_spectrum()

@@ -17,7 +17,6 @@ from mdrdf import (
     LagrangePair,
     NoiseSpectra,
     ThetaPair,
-    brute_force_frequency,
     evaluate,
     fit_lambdas,
     flat_spectrum,
@@ -28,22 +27,22 @@ from mdrdf import (
 from mdrdf.sim import (
     QuantizerState,
     SimConfig,
-    band_means,
     ecdq_quantize,
     run_md_channel,
     run_md_codec,
     run_sd_mask_channel,
 )
-from mdrdf.spectral_solver import (
+from mdrdf.spectral_solver import lagrangian_gradient
+from mdrdf.verify import (
+    appendix_roots,
+    brute_force_frequency,
     count_mesh_minima,
     cubic_roots,
     discriminant,
     discriminant_product_form,
-    appendix_roots,
-    lagrangian_gradient,
 )
 
-from conftest import ar1_spectrum, cosine_spectrum
+from conftest import ar1_spectrum, band_means, cosine_spectrum
 
 
 @contextlib.contextmanager

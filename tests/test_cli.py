@@ -346,6 +346,57 @@ class TestSimulateCommand:
         assert code == 2
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--spectrum", "cosine", "--lambda1", "inf", "--lambda2", "1"],
+            ["fit", "--spectrum", "cosine", "--ds", "nan", "--dc", "0.1"],
+        ],
+        ids=["solve-inf-lambda", "fit-nan-target"],
+    )
+    def test_non_finite_exit_2(self, argv, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+
+    def test_missing_spectra_csv_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            ["simulate", "--spectra", str(tmp_path / "missing.csv")], capsys
+        )
+        assert code == 2
+        assert "missing.csv" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("omega,theta_plus,theta_minus\r\n0.1,0.2,0.3\r\n", "source"),
+            ("source,theta_plus,theta_minus\r\n1.0,0.2\r\n", "bad spectra CSV"),
+        ],
+        ids=["no-source-column", "short-row"],
+    )
+    def test_malformed_spectra_csv_exit_2(self, text, message, capsys, tmp_path):
+        spectra_csv = tmp_path / "spectra.csv"
+        spectra_csv.write_text(text)
+        code, _, err = run_cli(["simulate", "--spectra", str(spectra_csv)], capsys)
+        assert code == 2
+        assert message in err
+
+    def test_unwritable_output_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            [
+                "solve",
+                "--spectrum", "cosine",
+                "--lambda1", "0.238",
+                "--lambda2", "2.7",
+                "--out", str(tmp_path / "missing" / "x.json"),
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "cannot write" in err
+
+
 class TestEntryPoint:
     def test_console_script_verify_hook(self):
         # the injected perturbation must be caught with the property named

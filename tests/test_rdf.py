@@ -19,8 +19,8 @@ from mdrdf import (
     theta_to_distortions,
 )
 from mdrdf import rdf
-from mdrdf.errors import DomainError, TargetInfeasible
-from mdrdf.rdf import _analytic_seed, distortion_jacobian, rate_density
+from mdrdf.errors import TargetInfeasible
+from mdrdf.rdf import _analytic_seed, distortion_jacobian
 from mdrdf.spectral_solver import solve_spectrum
 
 from conftest import ar1_spectrum, cosine_spectrum
@@ -58,11 +58,14 @@ class TestEvaluate:
         assert pt.rate == pytest.approx(r0(1.0, ThetaPair(tp[0], tm[0])), rel=1e-12)
 
     def test_tiny_multipliers_zero_rate(self):
-        pt = evaluate(flat_spectrum(2.0, 256), LagrangePair(1e-9, 1e-9))
-        assert pt.rate == 0.0
-        assert pt.d_side == pytest.approx(2.0, rel=1e-12)
-        assert pt.d_central == pytest.approx(2.0, rel=1e-12)
-        assert np.all(pt.spectra.boundary_mask)
+        # at sigma2 = 2.9 the corner's S (S/2) / (S - S/2) rounds above S
+        for sigma2 in (2.0, 2.9):
+            pt = evaluate(flat_spectrum(sigma2, 256), LagrangePair(1e-9, 1e-9))
+            assert pt.rate == 0.0
+            assert pt.d_side == pytest.approx(sigma2, rel=1e-12)
+            assert pt.d_central == pytest.approx(sigma2, rel=1e-12)
+            assert pt.d_central <= pt.d_side
+            assert np.all(pt.spectra.boundary_mask)
 
     def test_invariants_on_random_points(self, cosine):
         rng = np.random.default_rng(40)
@@ -91,26 +94,10 @@ class TestEvaluate:
 
 
 class TestRateDensity:
-    def test_zero_rate_corner(self):
-        assert rate_density(1.0, 0.5, 0.5) == 0.0
-
     def test_one_bit(self):
-        assert rate_density(1.0, 0.125, 0.125) == pytest.approx(math.log(2), rel=1e-12)
-
-    def test_integral_reproduces_example1_rate(self, example1_point, cosine):
-        tp = example1_point.spectra.theta_plus
-        tm = example1_point.spectra.theta_minus
-        total = np.mean(
-            [
-                rate_density(S, p, m)
-                for S, p, m in zip(cosine.values, tp, tm)
-            ]
-        )
-        assert total / math.log(2) == pytest.approx(0.7468, abs=1e-3)
-
-    def test_domain_guard(self):
-        with pytest.raises(DomainError):
-            rate_density(1.0, 0.4, 0.3)
+        # lambda2 = 0 on a flat source: tp = tm = 1/(4 lambda1) = 1/8
+        pt = evaluate(flat_spectrum(1.0, 8), LagrangePair(2.0, 0.0))
+        assert pt.rate == pytest.approx(math.log(2), rel=1e-12)
 
 
 class TestFit:
@@ -291,7 +278,10 @@ class TestSlackEdges:
         assert np.allclose(got_tm, tm(S), rtol=1e-13, atol=0.0)
         assert np.array_equal(boundary, got_tp == S / 2)
 
-    @pytest.mark.parametrize("l1, l2", [(0.0, 0.0), (-1.0, 1.0), (1.0, -1e-9), (math.nan, 1.0)])
+    @pytest.mark.parametrize(
+        "l1, l2",
+        [(0.0, 0.0), (-1.0, 1.0), (1.0, -1e-9), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf)],
+    )
     def test_invalid_multipliers(self, l1, l2):
         with pytest.raises(ValueError):
             LagrangePair(l1, l2)

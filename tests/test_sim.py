@@ -8,12 +8,7 @@ import pytest
 from scipy import stats
 
 from mdrdf import DistortionPair, Spectrum, entropy_power, fit_lambdas, flat_spectrum, sim
-from mdrdf.errors import (
-    KernelUnavailableWarning,
-    LengthMismatch,
-    MaskExceedsSource,
-    SignalTooShort,
-)
+from mdrdf.errors import KernelUnavailableWarning, MaskExceedsSource, SignalTooShort
 from mdrdf.filters import interleave_theta, noise_shaper
 from mdrdf.rdf import NoiseSpectra
 from mdrdf.sim import (
@@ -21,14 +16,14 @@ from mdrdf.sim import (
     SimConfig,
     _apply_predictor_error,
     _dsq_loop,
-    band_means,
     ecdq_quantize,
-    measure_distortions,
     run_md_channel,
     run_md_codec,
     run_sd_mask_channel,
     welch_psd,
 )
+
+from conftest import band_means
 
 
 def flat_noise(tp, tm, n):
@@ -136,35 +131,6 @@ class TestWelch:
     def test_too_short_guard(self):
         with pytest.raises(SignalTooShort):
             welch_psd(np.zeros(1000), 512)
-
-
-class TestMeasureDistortions:
-    def test_identity(self):
-        x = np.random.default_rng(7).standard_normal(10_000)
-        d1, d2, dc = measure_distortions(x, x, None, x.copy(), warmup=100)
-        assert d1 == 0.0 and d2 is None and dc == 0.0
-
-    def test_additive_noise_level(self):
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal(500_000)
-        d1, _, _ = measure_distortions(x, x + rng.standard_normal(x.size), None, None, 100)
-        assert d1 == pytest.approx(1.0, rel=0.02)
-
-    def test_misaligned_ar_identity(self):
-        # shifting an AR(0.9) stream by one sample costs 2 (r0 - r1)
-        from scipy import signal as sig
-
-        rng = np.random.default_rng(9)
-        x = sig.lfilter([1.0], [1.0, -0.9], rng.standard_normal(1 << 20))
-        shifted = np.r_[x[1:], 0.0]
-        d1, _, _ = measure_distortions(x, shifted, None, None, 4096)
-        r0_ = 1.0 / (1 - 0.81)
-        r1_ = 0.9 * r0_
-        assert d1 == pytest.approx(2 * (r0_ - r1_), rel=0.03)
-
-    def test_length_guard(self):
-        with pytest.raises(LengthMismatch):
-            measure_distortions(np.zeros(10), np.zeros(9), None, None, 0)
 
 
 class TestDsqLoop:

@@ -7,20 +7,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdrdf import LagrangePair, brute_force_frequency, solve_frequency
-from mdrdf.errors import DenominatorSignError, DomainError
+from mdrdf.errors import DomainError
 from mdrdf.spectral_solver import (
+    cubic_coeffs,
+    lagrangian_gradient,
+    lagrangian_hessian,
+    solve_spectrum,
+)
+from mdrdf.verify import (
     _pq_closed_form,
     appendix_roots,
     count_mesh_minima,
-    cubic_coeffs,
     cubic_roots,
     discriminant,
     discriminant_product_form,
     lagrangian,
-    lagrangian_gradient,
-    lagrangian_hessian,
-    solve_spectrum,
-    theta_plus_of_psi,
 )
 
 
@@ -51,7 +52,7 @@ class TestCubicCoefficients:
             sol = solve_frequency(S, lam)
             if sol.on_boundary:
                 continue
-            assert rel_residual(sol.diagnostics, sol.theta_minus) < 1e-9
+            assert rel_residual(discriminant(S, lam), sol.theta_minus) < 1e-9
 
 
 class TestDiscriminant:
@@ -161,14 +162,6 @@ class TestStationaryPoint:
 
 
 class TestThetaPlus:
-    def test_vanishes_at_psi_equal_s(self):
-        lam = LagrangePair(1.0, 2.0)
-        assert theta_plus_of_psi(1.0, lam, 1.0) == 0.0
-
-    def test_denominator_guard(self):
-        with pytest.raises(DenominatorSignError):
-            theta_plus_of_psi(1.0, LagrangePair(1.0, 1e-9), 3.0)
-
     def test_high_rate_limit(self):
         lam = LagrangePair(1e4, 1e6)
         for S in (0.5, 1.0, 2.0):
