@@ -44,9 +44,9 @@ class ConfigError(Exception):
     pass
 
 
-# mdrdf.sim loads scipy.signal, which costs more than any other command's
-# whole run, so only `simulate` imports it; these names of it stay
-# reachable as attributes of this module (PEP 562)
+# only `simulate` imports mdrdf.sim: tens of ms, plus over a second for
+# scipy.signal where no C compiler builds its kernel; these names of it
+# stay reachable as attributes of this module (PEP 562)
 _SIM_NAMES = ("SimConfig", "run_md_channel", "run_md_codec")
 
 

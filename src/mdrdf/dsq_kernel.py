@@ -1,15 +1,15 @@
-"""The ecdq loop of `sim._dsq_loop`, compiled to C and loaded with ctypes.
+"""`sim`'s sequential filters in C, loaded with ctypes: `dsq_loop`, the ecdq
+loop of `sim._dsq_loop`, and `allpole`, y[m] = x[m] + sum_j a_j y[m-1-j].
 
-The first ecdq simulation in a process builds the kernel with the system C
-compiler `cc` into `$XDG_CACHE_HOME/mdrdf` (default `~/.cache/mdrdf`),
-under a file name keyed by the SHA-256 of the source and the compiler
-flags; later processes load the cached library without compiling. The
-flags keep IEEE semantics (no fast-math, no fused multiply-add, no
-host-specific code), so the kernel rounds exactly as the reference loop
-does; only its dot products, summed in lag order, may differ from
-`np.dot` in the last bits of V. Without a compiler, or when the build or
-the load fails, `load` warns once and returns None, and `sim` runs the
-Python reference loop.
+The first simulation in a process, in either mode, builds both into one
+library with the system C compiler `cc` in `$XDG_CACHE_HOME/mdrdf`
+(default `~/.cache/mdrdf`), named by the SHA-256 of the source and the
+compiler flags; later processes load the cached library without
+compiling. The flags keep IEEE semantics (no fast-math, no fused
+multiply-add, no host-specific code), so the loop rounds exactly as the
+reference loop does; only sums, taken in lag order, may differ from
+`np.dot` and `scipy.signal.lfilter` in the last bits. Without a compiler,
+or when the build or the load fails, `load` warns once and returns None.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import subprocess
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,6 +50,16 @@ void dsq_loop(const double *u, const double *a, long P, const double *q, long L,
         G[m] = y - d + et;
         V[m] = y + b;
         Y[m] = y;
+    }
+}
+
+void allpole(const double *x, const double *a, long P, long n, double *y)
+{
+    for (long m = 0; m < n; m++) {
+        double s = x[m];
+        for (long j = 0; j < P && m - 1 - j >= 0; j++)
+            s += a[j] * y[m - 1 - j];
+        y[m] = s;
     }
 }
 """
@@ -79,20 +90,22 @@ def _library() -> Path:
 
 @functools.cache
 def load():
-    """The compiled loop, with `sim._dsq_loop`'s signature and results, or None."""
+    """The compiled kernel, or None: `dsq_loop` with `sim._dsq_loop`'s
+    signature and results, and `allpole(x, a)`, x filtered by 1/(1 - A)."""
     try:
-        fn = ctypes.CDLL(str(_library())).dsq_loop
+        lib = ctypes.CDLL(str(_library()))
     except (OSError, subprocess.SubprocessError) as exc:
-        warnings.warn(f"compiled ecdq loop unavailable, running the Python loop: {exc}",
-                      KernelUnavailableWarning, stacklevel=2)
+        warnings.warn(f"compiled kernel unavailable, running the Python loop and "
+                      f"scipy.signal.lfilter: {exc}", KernelUnavailableWarning, stacklevel=2)
         return None
     f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     out = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
     i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
     c_long = ctypes.c_long
-    fn.argtypes = [f64, f64, c_long, f64, c_long, c_long, f64, ctypes.c_double, c_long,
-                   out, out, out, i64]
-    fn.restype = None
+    lib.dsq_loop.argtypes = [f64, f64, c_long, f64, c_long, c_long, f64, ctypes.c_double,
+                             c_long, out, out, out, i64]
+    lib.allpole.argtypes = [f64, f64, c_long, c_long, out]
+    lib.dsq_loop.restype = lib.allpole.restype = None
 
     def dsq_loop(u, a, q, stride, dither, step):
         u, a, q, dither = (np.ascontiguousarray(x, dtype=np.float64) for x in (u, a, q, dither))
@@ -101,7 +114,13 @@ def load():
             raise ValueError("u and dither must have equal shapes, and stride must be >= 1")
         V, Y, G = np.zeros(n), np.zeros(n), np.zeros(n)
         idx = np.zeros(n, dtype=np.int64)
-        fn(u, a, a.size, q, q.size, stride, dither, step, n, V, Y, G, idx)
+        lib.dsq_loop(u, a, a.size, q, q.size, stride, dither, step, n, V, Y, G, idx)
         return V, Y, idx
 
-    return dsq_loop
+    def allpole(x, a):
+        x, a = (np.ascontiguousarray(v, dtype=np.float64) for v in (x, a))
+        y = np.empty(x.size)
+        lib.allpole(x, a, a.size, x.size, y)
+        return y
+
+    return SimpleNamespace(dsq_loop=dsq_loop, allpole=allpole)

@@ -54,4 +54,4 @@ class SignalTooShort(MdrdfError):
 
 
 class KernelUnavailableWarning(RuntimeWarning):
-    """The compiled ecdq loop could not be built or loaded; the Python loop runs."""
+    """The compiled kernel could not be built or loaded; Python and scipy run."""

@@ -78,7 +78,7 @@ def sd_prefilter(source: Spectrum, mask: Spectrum) -> NDArray[np.float64]:
 def halfband_interpolator(taps: int = 511, beta: float = 8.6) -> NDArray[np.float64]:
     """Kaiser-windowed sinc half-band lowpass, cutoff pi/2, unity DC gain.
 
-    Every second tap except the center is exactly zero; stopband
+    Every second tap except the center is zero up to rounding; stopband
     attenuation exceeds 60 dB for the default design. Interpolation by two
     uses 2*h after zero stuffing to preserve amplitude.
     """

@@ -13,15 +13,16 @@ variance, which is what every measured quantity depends on.
 The noise shaper is the recursive filter 1 + C = 1/(1 - Q) of the mask
 predictor Q. Only ecdq mode runs the sequential loop, because the
 quantizer makes it nonlinear. In awgn mode the loop algebra collapses to
-V = U + Z/(1 - Q) and Y = (1 - A) V, which the encoder evaluates by
-vectorized filtering.
+V = U + Z/(1 - Q) and Y = (1 - A) V. The half-band filters are polyphase.
 
-The ecdq loop runs as a compiled C kernel (`dsq_kernel`). The first ecdq
-run builds it with the system compiler `cc` into `$XDG_CACHE_HOME/mdrdf`
-(default `~/.cache/mdrdf`); later runs and processes reuse the cached
-library. Without a C compiler, or if the build fails, one
-`KernelUnavailableWarning` is issued and the Python reference loop
-`_dsq_loop` runs instead, with the same quantizer indices.
+In both modes the ecdq loop and the all-pole filters 1/(1 - A) (source
+synthesis, awgn noise shaping, codec decoding) run as one compiled C
+kernel (`dsq_kernel`), which the first run builds with the system
+compiler `cc` into `$XDG_CACHE_HOME/mdrdf` (default `~/.cache/mdrdf`) and
+later runs and processes reuse. Without a C compiler, or if the build
+fails, one `KernelUnavailableWarning` is issued; the Python reference loop
+`_dsq_loop` then runs, with the same quantizer indices, and the all-pole
+filters run as `scipy.signal.lfilter`, imported only then.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import signal as _sig
 
 from . import dsq_kernel
 from .errors import MaskExceedsSource, SignalTooShort
@@ -140,10 +140,7 @@ class SimReport:
 
     def to_dict(self) -> dict:
         def spec(s):
-            return None if s is None else {
-                "grid_size": s.grid_size,
-                "values": [float(v) for v in s.values],
-            }
+            return None if s is None else {"grid_size": s.grid_size, "values": s.values.tolist()}
 
         return {
             "d_side_1": self.d_side_1,
@@ -160,50 +157,25 @@ class SimReport:
         }
 
 
-def ecdq_quantize(x, state: QuantizerState):
-    """Subtractive-dither uniform quantization of x (scalar or array).
-
-    index = round((x + dither)/step); reconstruction = index*step - dither.
-    The error is uniform on (-step/2, step/2] and independent of x.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    dither = state.draw_dither(arr.size).reshape(arr.shape)
-    if arr.ndim == 0:
-        dither = float(dither)
-    index = np.floor((arr + dither) / state.step + 0.5)
-    recon = index * state.step - dither
-    if arr.ndim == 0:
-        return int(index), float(recon)
-    return index.astype(np.int64), recon
-
-
 def welch_psd(x: NDArray[np.float64], segment: int) -> Spectrum:
     """Hann-windowed averaged periodogram on the midpoint grid.
 
     50% overlap; scaled so white noise of variance v estimates a flat
     spectrum at level v.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if segment < 2 or segment & (segment - 1):
         raise ValueError("segment length must be a power of two")
     if segment > x.size // 8:
         raise SignalTooShort(f"need at least 8 segments of {segment}, have {x.size}")
-    freqs, pxx = _sig.welch(
-        x,
-        fs=2.0 * np.pi,
-        window="hann",
-        nperseg=segment,
-        noverlap=segment // 2,
-        detrend=False,
-        return_onesided=True,
-    )
-    # undo the one-sided halving of the DC and Nyquist bins so the density
-    # is level across the whole grid before interpolating
-    pxx = pxx.copy()
-    pxx[0] *= 2.0
-    pxx[-1] *= 2.0
-    om = midpoint_omega(segment // 2)
-    return Spectrum(np.interp(om, freqs, pxx * np.pi))
+    frames = np.lib.stride_tricks.sliding_window_view(x, segment)[:: segment // 2]
+    win = np.hanning(segment + 1)[:-1]  # periodic Hann
+    spec = np.fft.rfft(frames * win, axis=-1)
+    # the density at fs = 2 pi, two-sided at DC and Nyquist as in between,
+    # so that it is level across the whole grid before interpolating
+    pxx = np.mean(spec.real**2 + spec.imag**2, axis=0) / np.sum(win * win)
+    freqs = np.linspace(0.0, np.pi, segment // 2 + 1)
+    return Spectrum(np.interp(midpoint_omega(segment // 2), freqs, pxx))
 
 
 def _trim_taps(coeffs: NDArray[np.float64], tol: float = 1e-14) -> NDArray[np.float64]:
@@ -216,9 +188,17 @@ def _synth_source(spectrum: Spectrum, rng: np.random.Generator, n: int):
     pred = optimal_predictor(spectrum, PREDICTOR_ORDER)
     a = _trim_taps(pred.coeffs)
     innov = rng.standard_normal(n) * math.sqrt(pred.innovation_variance)
-    if a.size == 0:
-        return innov, a
-    return _sig.lfilter([1.0], np.r_[1.0, -a], innov), a
+    return _allpole(innov, a), a
+
+
+def _allpole(x: NDArray[np.float64], a: NDArray[np.float64]) -> NDArray[np.float64]:
+    """1/(1 - A(z)) applied to x: y[m] = x[m] + sum_j a_j y[m-1-j]."""
+    kernel = dsq_kernel.load()
+    if kernel is not None:
+        return kernel.allpole(x, a)
+    from scipy import signal
+
+    return signal.lfilter([1.0], np.r_[1.0, -a], x)
 
 
 def _zero_phase(x: NDArray[np.float64], mag: NDArray[np.float64], omega) -> NDArray[np.float64]:
@@ -229,14 +209,7 @@ def _zero_phase(x: NDArray[np.float64], mag: NDArray[np.float64], omega) -> NDAr
     return np.fft.irfft(X * m, x.size)
 
 
-def _dsq_loop(
-    u: NDArray[np.float64],
-    a: NDArray[np.float64],
-    q: NDArray[np.float64],
-    stride: int,
-    dither: NDArray[np.float64],
-    step: float,
-):
+def _dsq_loop(u, a, q, stride: int, dither, step: float):
     """Sequential ecdq prediction / noise-shaping loop: the reference
     implementation of the compiled kernel in `dsq_kernel`, and its
     fallback when no C compiler is available.
@@ -249,20 +222,13 @@ def _dsq_loop(
     """
     n = u.size
     P, L = a.size, q.size
-    V = np.zeros(n)
-    Y = np.zeros(n)
-    G = np.zeros(n)
+    V, Y, G = np.zeros(n), np.zeros(n), np.zeros(n)
     idx = np.zeros(n, dtype=np.int64)
     for m in range(n):
-        b = 0.0
-        if P:
-            lags = V[m - stride :: -stride][:P] if m >= stride else V[0:0]
-            if lags.size:
-                b = float(np.dot(a[: lags.size], lags))
-        et = 0.0
-        if L and m:
-            hist = G[m - 1 :: -1][:L]
-            et = float(np.dot(q[: hist.size], hist))
+        lags = V[m - stride :: -stride][:P] if m >= stride else V[:0]
+        b = float(np.dot(a[: lags.size], lags))
+        hist = G[m - 1 :: -1][:L] if m else G[:0]
+        et = float(np.dot(q[: hist.size], hist))
         d = u[m] - b + et
         k = math.floor((d + dither[m]) / step + 0.5)
         y = k * step - dither[m]
@@ -275,18 +241,17 @@ def _dsq_loop(
 
 def _ecdq_loop(u, a, q, stride: int, dither, step: float):
     """The ecdq loop: the compiled kernel, or `_dsq_loop` if it is unavailable."""
-    loop = dsq_kernel.load() or _dsq_loop
+    kernel = dsq_kernel.load()
+    loop = kernel.dsq_loop if kernel is not None else _dsq_loop
     return loop(u, a, q, stride, dither, step)
 
 
 def _apply_predictor_error(v: NDArray[np.float64], a: NDArray[np.float64], stride: int):
     """Y = (1 - A(z^stride)) V."""
-    if a.size == 0:
-        return v
-    taps = np.zeros(stride * a.size + 1)
-    taps[0] = 1.0
-    taps[stride::stride] = -a
-    return _sig.lfilter(taps, [1.0], v)
+    y = v.copy()
+    for j, aj in enumerate(a, 1):
+        y[j * stride :] -= aj * v[: -j * stride]
+    return y
 
 
 def _empirical_entropy(indices: NDArray[np.int64]) -> float:
@@ -306,10 +271,27 @@ def _analytic_rate(source: Spectrum, mask: Spectrum) -> float:
 
 
 def _interpolate(x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Zero-stuff x by two and interpolate with the encoder's half-band filter."""
-    up = np.zeros(2 * x.size)
-    up[::2] = x
-    return _sig.lfilter(2.0 * halfband_interpolator(INTERP_TAPS), [1.0], up)
+    """Zero-stuff x by two and interpolate with the encoder's half-band filter,
+    in polyphase form: the even taps over x give the even outputs, and the
+    centre tap, the one odd tap that is not a sinc zero, the odd outputs."""
+    h = 2.0 * halfband_interpolator(INTERP_TAPS)
+    c = (INTERP_TAPS - 1) // 2
+    out = np.zeros(2 * x.size)
+    out[0::2] = np.convolve(x, h[0::2])[: x.size]
+    out[c::2] = h[c] * x[: x.size - c // 2]
+    return out
+
+
+def _decode_central(v_up: NDArray[np.float64], n_central: int) -> NDArray[np.float64]:
+    """The central decoder's half-band filter at the outputs it keeps,
+    w[2k + _CENTRAL_DELAY] for k < n_central, in polyphase form: the even
+    taps over description 0 plus the centre tap on description 1."""
+    h = halfband_interpolator(DECODER_TAPS)
+    c = (DECODER_TAPS - 1) // 2
+    half = _CENTRAL_DELAY // 2
+    w = np.convolve(v_up[0::2], h[0::2])[half : half + n_central]
+    w += h[c] * v_up[_CENTRAL_DELAY - c :: 2][:n_central]
+    return w
 
 
 def _encode(source: Spectrum, mask: Spectrum, f_mag: NDArray[np.float64], stride: int,
@@ -335,7 +317,7 @@ def _encode(source: Spectrum, mask: Spectrum, f_mag: NDArray[np.float64], stride
     if cfg.mode == "awgn":
         rng = np.random.default_rng([cfg.seed, 2])
         z = rng.standard_normal(m) * math.sqrt(shaper.innovation_variance)
-        v = u + _sig.lfilter([1.0], np.r_[1.0, -shaper.coeffs], z)
+        v = u + _allpole(z, shaper.coeffs)
         return x, a, shaper, v, _apply_predictor_error(v, a, stride), None
     step = math.sqrt(12.0 * shaper.innovation_variance)
     dither = np.empty(m)
@@ -398,9 +380,8 @@ def _run_md(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig, decode) -> Si
 
     dc = errc = None
     if len(kept) == 2:
-        w = _sig.lfilter(halfband_interpolator(DECODER_TAPS), [1.0], v_up)
         n_central = n - _CENTRAL_DELAY // 2 - 1
-        wc = w[2 * np.arange(n_central) + _CENTRAL_DELAY]
+        wc = _decode_central(v_up, n_central)
         errc = (_zero_phase(wc, pp.g_mag, om) - x[:n_central])[WARMUP : n_central - WARMUP]
         dc = float(np.mean(errc * errc))
 
@@ -430,7 +411,7 @@ def _decode_descriptions(a, v_up, y_up):
     """Rebuild each description's V from its own Y by 1/(1 - A)."""
     v_up = np.zeros_like(y_up)
     for k in (0, 1):
-        v_up[k::2] = _sig.lfilter([1.0], np.r_[1.0, -a], y_up[k::2])
+        v_up[k::2] = _allpole(y_up[k::2], a)
     return v_up
 
 

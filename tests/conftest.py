@@ -1,8 +1,13 @@
+import shutil
+
 import numpy as np
 import pytest
 
 from mdrdf import LagrangePair, Spectrum, evaluate, midpoint_omega, spectrum_from_predictor
+from mdrdf.sim import QuantizerState
 from mdrdf.spectra import PredictorCoeffs
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc'")
 
 
 def cosine_spectrum(n=4096):
@@ -22,6 +27,23 @@ def band_means(spectrum, n_bands, omega_max=np.pi):
     return np.array(
         [np.mean(spectrum.values[(om >= lo) & (om < hi)]) for lo, hi in zip(edges[:-1], edges[1:])]
     )
+
+
+def ecdq_quantize(x, state: QuantizerState):
+    """Subtractive-dither uniform quantization of x (scalar or array).
+
+    index = round((x + dither)/step); reconstruction = index*step - dither.
+    The error is uniform on (-step/2, step/2] and independent of x.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    dither = state.draw_dither(arr.size).reshape(arr.shape)
+    if arr.ndim == 0:
+        dither = float(dither)
+    index = np.floor((arr + dither) / state.step + 0.5)
+    recon = index * state.step - dither
+    if arr.ndim == 0:
+        return int(index), float(recon)
+    return index.astype(np.int64), recon
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,6 @@ from mdrdf import (
 from mdrdf.sim import (
     QuantizerState,
     SimConfig,
-    ecdq_quantize,
     run_md_channel,
     run_md_codec,
     run_sd_mask_channel,
@@ -42,7 +41,7 @@ from mdrdf.verify import (
     discriminant_product_form,
 )
 
-from conftest import ar1_spectrum, band_means, cosine_spectrum
+from conftest import ar1_spectrum, band_means, cosine_spectrum, ecdq_quantize
 
 
 @contextlib.contextmanager

@@ -8,6 +8,8 @@ import pytest
 
 from mdrdf.cli import SPECTRA_CSV_COLUMNS, main, parse_spectrum_spec
 
+from conftest import needs_cc
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -412,9 +414,9 @@ class TestEntryPoint:
 
 class TestImportCost:
     def test_only_simulate_loads_scipy(self, tmp_path):
-        # solve, sweep and fit run on numpy alone: scipy.signal comes with
-        # mdrdf.sim, which only simulate imports, and the fit needs no
-        # scipy.optimize; the names cli used to import from sim still resolve
+        # solve, sweep and fit run on numpy alone: they never import
+        # mdrdf.sim, and the fit needs no scipy.optimize; the names cli used
+        # to import from sim still resolve
         script = """
 import sys
 import mdrdf.cli
@@ -444,3 +446,28 @@ assert mdrdf.cli.SimConfig is mdrdf.sim.SimConfig
         assert proc.returncode == 0, proc.stderr
         fit = json.loads((tmp_path / "fit.out").read_text())["result"]
         assert fit["lambda1"] > 0 and fit["lambda2"] > 0  # an equality target
+
+    @needs_cc
+    def test_simulate_loads_no_scipy(self, tmp_path):
+        # with the compiled kernel, simulate runs on numpy and the kernel alone
+        script = """
+import sys
+import mdrdf.cli
+
+out = sys.argv[1]
+point = ["--spectrum", "cosine", "--lambda1", "0.238", "--lambda2", "2.7", "--samples", "65536"]
+for structure, mode in (("channel", "awgn"), ("codec", "ecdq")):
+    argv = ["simulate", *point, "--structure", structure, "--mode", mode]
+    assert mdrdf.cli.main([*argv, "--out", f"{out}/{mode}.json"]) == 0, argv
+loaded = [name for name in sys.modules if name.startswith("scipy")]
+assert not loaded, loaded
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        ecdq = json.loads((tmp_path / "ecdq.json").read_text())["result"]
+        assert ecdq["rate_empirical_nats"] > ecdq["rate_analytical_nats"]

@@ -1,36 +1,46 @@
 import json
 import math
-import shutil
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from mdrdf import DistortionPair, Spectrum, entropy_power, fit_lambdas, flat_spectrum, sim
+from mdrdf import (
+    DistortionPair,
+    Spectrum,
+    entropy_power,
+    fit_lambdas,
+    flat_spectrum,
+    midpoint_omega,
+    sim,
+)
 from mdrdf.errors import KernelUnavailableWarning, MaskExceedsSource, SignalTooShort
-from mdrdf.filters import interleave_theta, noise_shaper
+from mdrdf.filters import halfband_interpolator, interleave_theta, noise_shaper
 from mdrdf.rdf import NoiseSpectra
 from mdrdf.sim import (
+    _CENTRAL_DELAY,
+    DECODER_TAPS,
+    INTERP_TAPS,
+    PREDICTOR_ORDER,
     QuantizerState,
     SimConfig,
     _apply_predictor_error,
+    _decode_central,
     _dsq_loop,
-    ecdq_quantize,
+    _interpolate,
     run_md_channel,
     run_md_codec,
     run_sd_mask_channel,
     welch_psd,
 )
+from mdrdf.spectra import optimal_predictor
 
-from conftest import band_means
+from conftest import band_means, ecdq_quantize, needs_cc
 
 
 def flat_noise(tp, tm, n):
     return NoiseSpectra(np.full(n, tp), np.full(n, tm), np.zeros(n, dtype=bool))
-
-
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc'")
 
 
 @pytest.fixture
@@ -63,6 +73,19 @@ def assert_matches_reference(got, want):
     np.testing.assert_array_equal(idx, idx_ref)
     np.testing.assert_array_equal(Y, Y_ref)
     assert np.max(np.abs(V - V_ref)) <= 1e-12 * np.max(np.abs(V_ref))
+
+
+def assert_reports_close(got, want, rtol=1e-12):
+    """Every report field within rtol of want's, relative to its scale."""
+    got = got.to_dict()
+    for key, w in want.to_dict().items():
+        g = got[key]
+        if isinstance(w, dict):
+            g, w = np.asarray(g["values"]), np.asarray(w["values"])
+        if w is None:
+            assert g is None, key
+        else:
+            assert np.max(np.abs(np.subtract(g, w))) <= rtol * np.max(np.abs(w)), key
 
 
 def anchor_point(spectrum):
@@ -199,24 +222,33 @@ class TestCompiledLoop:
         assert (args[1].size > 0, args[2].size > 0) == has_taps
         assert_matches_reference(got, _dsq_loop(*args, **kwargs))
 
-    def test_fallback_without_compiler(self, tmp_path, monkeypatch, fresh_kernel):
+    def test_fallback_without_compiler(self, tmp_path, ar1, monkeypatch, fresh_kernel):
+        # ecdq on a white source, which needs no all-pole filter, so the
+        # indices are exact; awgn on AR(1), where the synthesis, the shaper
+        # and the decoder run as lfilter instead of the kernel
         src = flat_spectrum(1.0, 512)
         noise = flat_noise(0.08, 0.15, 512)
-        cfg = SimConfig(num_samples=1 << 16, seed=9, mode="ecdq")
+        ecdq = SimConfig(num_samples=1 << 16, seed=9, mode="ecdq")
+        awgn = SimConfig(num_samples=1 << 16, seed=9, mode="awgn")
+        ar_noise = flat_noise(0.08, 0.15, ar1.grid_size)
+        runs = [(run_md_codec, src, noise, ecdq), (run_md_codec, ar1, ar_noise, awgn),
+                (run_md_channel, ar1, ar_noise, awgn)]
         calls = record_loop(monkeypatch)
-        run_md_codec(src, noise, cfg)
+        compiled = [run(*args) for run, *args in runs]
         fresh_kernel.cache_clear()
         empty = tmp_path / "bin"
         empty.mkdir()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setenv("PATH", str(empty))
         with pytest.warns(KernelUnavailableWarning) as warned:
-            fallback = run_md_codec(src, noise, cfg)
+            fallback = [run(*args) for run, *args in runs]
             sim._ecdq_loop(np.zeros(8), np.zeros(0), np.zeros(0), 1, np.zeros(8), 1.0)
         assert sum(issubclass(w.category, KernelUnavailableWarning) for w in warned) == 1
         assert fresh_kernel() is None
         np.testing.assert_array_equal(calls[1][2][2], calls[0][2][2])
-        assert fallback.rate_empirical > 0
+        assert fallback[0].rate_empirical > 0
+        for got, want in zip(fallback, compiled):
+            assert_reports_close(got, want)
 
     @needs_cc
     def test_warm_cache_loads_without_compiler(self, tmp_path, monkeypatch, fresh_kernel):
@@ -235,12 +267,79 @@ class TestCompiledLoop:
         monkeypatch.setattr(sim.dsq_kernel.subprocess, "run", no_compiler)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            loop = fresh_kernel()
-        assert loop is not None
+            kernel = fresh_kernel()
+        assert kernel is not None
         rng = np.random.default_rng(10)
         args = (rng.standard_normal(4096), np.array([0.5, -0.2]), np.array([0.3]), 2,
                 rng.uniform(-0.5, 0.5, 4096), 1.0)
-        assert_matches_reference(loop(*args), _dsq_loop(*args))
+        assert_matches_reference(kernel.dsq_loop(*args), _dsq_loop(*args))
+        x, a = rng.standard_normal(4096), np.array([0.5, -0.2])
+        assert_allpole_matches_lfilter(kernel.allpole(x, a), x, a)
+
+
+def assert_allpole_matches_lfilter(y, x, a, rtol=1e-12):
+    from scipy import signal as sig
+
+    want = sig.lfilter([1.0], np.r_[1.0, -a], x)
+    assert np.max(np.abs(y - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestScipyEquivalence:
+    """The numpy and compiled filters against the scipy.signal calls they replace."""
+
+    @staticmethod
+    def scipy_welch(x, segment):
+        from scipy import signal as sig
+
+        freqs, pxx = sig.welch(x, fs=2.0 * np.pi, window="hann", nperseg=segment,
+                               noverlap=segment // 2, detrend=False, return_onesided=True)
+        pxx[[0, -1]] *= 2.0
+        return np.interp(midpoint_omega(segment // 2), freqs, pxx * np.pi)
+
+    @pytest.mark.parametrize("segment", [256, 512, 1024, 2048, 4096])
+    def test_welch(self, segment):
+        x = np.random.default_rng(40).standard_normal(1 << 16)
+        x[1:] += 0.9 * x[:-1]  # colored, so every bin differs
+        for signal in (x, x[1::2]):  # contiguous, and a strided view
+            want = self.scipy_welch(signal, segment)
+            got = welch_psd(signal, segment).values
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+
+    def test_interpolate(self):
+        from scipy import signal as sig
+
+        x = np.random.default_rng(41).standard_normal(5000)
+        up = np.zeros(2 * x.size)
+        up[::2] = x
+        want = sig.lfilter(2.0 * halfband_interpolator(INTERP_TAPS), [1.0], up)
+        assert np.max(np.abs(_interpolate(x) - want)) <= 1e-13 * np.max(np.abs(x))
+
+    def test_central_decoder(self):
+        from scipy import signal as sig
+
+        n = 5000
+        v_up = np.random.default_rng(42).standard_normal(2 * n)
+        n_central = n - _CENTRAL_DELAY // 2 - 1
+        w = sig.lfilter(halfband_interpolator(DECODER_TAPS), [1.0], v_up)
+        want = w[2 * np.arange(n_central) + _CENTRAL_DELAY]
+        got = _decode_central(v_up, n_central)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(v_up))
+
+    @needs_cc
+    @pytest.mark.parametrize("order", [0, 1, 32, 96])
+    def test_allpole(self, order, cosine):
+        # stable all-pole filters of each order the simulators run: AR(1),
+        # the source predictor and the two-step mask's noise shaper
+        a = {
+            0: np.zeros(0),
+            1: np.array([0.9]),
+            32: optimal_predictor(cosine, PREDICTOR_ORDER).coeffs,
+            96: noise_shaper(interleave_theta(flat_noise(0.05, 0.2, 256)), 96).coeffs,
+        }[order]
+        assert a.size == order
+        x = np.random.default_rng(43).standard_normal(1 << 16)
+        assert_allpole_matches_lfilter(sim.dsq_kernel.load().allpole(x, a), x, a)
 
 
 class TestSeedContract:
