@@ -38,6 +38,8 @@ from .errors import DomainError
 # corner is tp = tm = S/2 and tp <= tm, so closeness is judged on tp: a
 # stationary tm at S/2 with a smaller tp is an edge point of positive rate.
 CORNER_SNAP_RTOL = 1e-12
+# solve_spectrum works through longer inputs this many bins at a time
+SOLVE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -161,10 +163,31 @@ def solve_spectrum(S_values: NDArray[np.float64], lam: LagrangePair):
     the closed form tm = S/2, tp = min(1/(8 lambda2), S/2) is used. At
     lambda2 = 0 the cubic is (x - w)(x - S)^2 with w = 1/(4 lambda1), and
     its smallest root gives tp = tm = min(w, S/2).
+
+    The solve is some 150 elementwise array operations. On a long input
+    each of them would stream full-length temporaries through memory, so
+    an input longer than SOLVE_BLOCK bins is solved one block of
+    SOLVE_BLOCK bins at a time, a working set that stays in the L2 cache,
+    into preallocated outputs. Shorter inputs are solved in one pass.
+    Every operation is elementwise, so the outputs do not depend on the
+    block size, bit for bit. The input is checked once, before any block.
     """
     S = np.asarray(S_values, dtype=np.float64)
     if np.any(S <= 0.0):
         raise DomainError("source spectrum must be strictly positive")
+    if S.size <= SOLVE_BLOCK:
+        return _solve_block(S, lam)
+    outputs = (np.empty(S.shape), np.empty(S.shape), np.empty(S.shape, dtype=bool))
+    flat = S.reshape(-1)
+    for start in range(0, S.size, SOLVE_BLOCK):
+        block = slice(start, start + SOLVE_BLOCK)
+        for out, result in zip(outputs, _solve_block(flat[block], lam)):
+            out.reshape(-1)[block] = result
+    return outputs
+
+
+def _solve_block(S: NDArray[np.float64], lam: LagrangePair):
+    """solve_spectrum on positive source powers, in one pass."""
     l1, l2 = lam.lambda1, lam.lambda2
     half = 0.5 * S
     if l1 == 0.0:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,19 @@ class TestEvaluate:
                 continue
             oz = ozarow_rate(sigma2, DistortionPair(pt.d_side, pt.d_central))
             assert abs(pt.rate - oz) < 1e-6
+
+    def test_fine_grid_peak_memory(self):
+        # solving 2^20 bins in one pass peaks at 27.4 float64 arrays of that
+        # length; in blocks, at 7.1: the solver's outputs and the densities
+        n = 1 << 20
+        spectrum = cosine_spectrum(n)
+        tracemalloc.start()
+        try:
+            evaluate(spectrum, LagrangePair(0.2380, 2.700))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * n
 
 
 class TestRateDensity:

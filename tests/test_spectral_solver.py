@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdrdf import LagrangePair, brute_force_frequency, solve_frequency
+from mdrdf import LagrangePair, Spectrum, brute_force_frequency, evaluate, solve_frequency
+from mdrdf import spectral_solver
 from mdrdf.errors import DomainError
 from mdrdf.spectral_solver import (
+    SOLVE_BLOCK,
     cubic_coeffs,
     lagrangian_gradient,
     lagrangian_hessian,
@@ -23,6 +25,8 @@ from mdrdf.verify import (
     discriminant_product_form,
     lagrangian,
 )
+
+from conftest import ar1_spectrum
 
 
 def random_triples(seed, count, s_range=(0.01, 100.0), l_range=(0.01, 100.0)):
@@ -332,6 +336,64 @@ class TestVectorizedSolve:
             assert np.all(tp >= 0)
             assert np.all(tp <= tm + 1e-15)
             assert np.all(tm <= vals / 2 + 1e-12 * vals)
+
+
+BLOCK_SIZES = [1, SOLVE_BLOCK - 1, SOLVE_BLOCK, SOLVE_BLOCK + 1, 3 * SOLVE_BLOCK + 17]
+
+
+def cosine_across_block_edge(n):
+    """1 + cos over half a period, its zero between bins SOLVE_BLOCK - 1 and
+    SOLVE_BLOCK (or in the middle of a shorter input)."""
+    edge = SOLVE_BLOCK if n > SOLVE_BLOCK else n // 2
+    return 1.0 - np.cos((np.arange(n) - edge + 0.5) * np.pi / n)
+
+
+def ar1_values(n):
+    return ar1_spectrum(n=n).values
+
+
+class TestBlockedSolve:
+    """Blocks of SOLVE_BLOCK bins give the one-pass result bit for bit."""
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize(
+        "values, lambdas",
+        [
+            (cosine_across_block_edge, (0.2380, 2.700)),
+            (ar1_values, (0.2380, 2.700)),
+            (cosine_across_block_edge, (0.0, 2.700)),
+            (cosine_across_block_edge, (0.2380, 0.0)),
+        ],
+        ids=["cosine", "ar1", "lambda1=0", "lambda2=0"],
+    )
+    def test_matches_one_pass(self, monkeypatch, n, values, lambdas):
+        S, lam = values(n), LagrangePair(*lambdas)
+        blocked = solve_spectrum(S, lam)
+        point = evaluate(Spectrum(S), lam)
+        monkeypatch.setattr(spectral_solver, "SOLVE_BLOCK", n + 1)
+        one_pass = solve_spectrum(S, lam)
+        one_pass_point = evaluate(Spectrum(S), lam)
+        for got, want in zip(blocked, one_pass):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert point.rate == one_pass_point.rate
+        assert point.d_side == one_pass_point.d_side
+        assert point.d_central == one_pass_point.d_central
+        if n > SOLVE_BLOCK and values is cosine_across_block_edge and lam.lambda2 > 0.0:
+            boundary = blocked[2]
+            assert boundary[SOLVE_BLOCK - 1] and boundary[SOLVE_BLOCK]
+            assert not np.all(boundary)
+
+    def test_zero_bin_in_last_block_raises_before_solving(self, monkeypatch):
+        S = np.ones(3 * SOLVE_BLOCK + 17)
+        S[3 * SOLVE_BLOCK + 5] = 0.0
+        blocks = []
+        monkeypatch.setattr(
+            spectral_solver, "_solve_block", lambda *args: blocks.append(args)
+        )
+        with pytest.raises(DomainError, match="^source spectrum must be strictly positive$"):
+            solve_spectrum(S, LagrangePair(0.2380, 2.700))
+        assert blocks == []
 
 
 def mp_objective(S, lam, tp, tm):
