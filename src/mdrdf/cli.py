@@ -9,13 +9,13 @@ are documented in docs/formats.md.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
+from operator import attrgetter
 
 import numpy as np
 
@@ -45,8 +45,10 @@ class ConfigError(Exception):
 
 
 # only `simulate` imports mdrdf.sim: tens of ms, plus over a second for
-# scipy.signal where no C compiler builds its kernel; these names of it
-# stay reachable as attributes of this module (PEP 562)
+# scipy.signal where no C compiler builds its kernel. These names of it stay
+# attributes of this module (PEP 562), like evaluate, fit_lambdas and sweep:
+# perfbench's traced run (perfbench/layers.py) getattr-wraps run_md_codec and
+# run_md_channel here, and raises AttributeError if either is missing
 _SIM_NAMES = ("SimConfig", "run_md_channel", "run_md_codec")
 
 
@@ -145,24 +147,6 @@ def _prepare_spectrum(args) -> tuple[Spectrum, float]:
     return spectrum, d_eps
 
 
-def _point_payload(point: RdfPoint, d_eps: float, grid_size: int) -> dict:
-    def db(x):
-        return 10.0 * math.log10(x) if x > 0 else None
-
-    return {
-        "lambda1": point.lambdas.lambda1,
-        "lambda2": point.lambdas.lambda2,
-        "rate_nats": point.rate,
-        "rate_bits": point.rate_bits,
-        "d_side": point.d_side,
-        "d_central": point.d_central,
-        "d_side_db": db(point.d_side),
-        "d_central_db": db(point.d_central),
-        "d_eps": d_eps,
-        "grid_size": grid_size,
-    }
-
-
 SPECTRA_CSV_COLUMNS = [
     "omega",
     "source",
@@ -175,53 +159,68 @@ SPECTRA_CSV_COLUMNS = [
 ]
 
 
+def _csv_table(manifest: dict, header: list[str], fmts: list[str], columns) -> str:
+    """Manifest line, header and one CRLF row per entry of the equal-length columns.
+
+    Rows go 8192 at a time through one %-format of the row format repeated
+    over the block's values, so no Python code runs per row, and only one
+    block's values are Python floats at once.
+    """
+    row = ",".join(fmts) + "\r\n"
+    parts = ["# manifest: " + json.dumps(manifest, sort_keys=True) + "\r\n"]
+    parts.append(",".join(header) + "\r\n")
+    for i in range(0, len(columns[0]), 8192):
+        block = np.column_stack([column[i : i + 8192] for column in columns])
+        parts.append((row * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
+
+
 def _spectra_csv(spectrum: Spectrum, point: RdfPoint, manifest: dict) -> str:
-    out = io.StringIO()
-    out.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\r\n")
-    writer = csv.writer(out, dialect="excel", lineterminator="\r\n")
-    writer.writerow(SPECTRA_CSV_COLUMNS)
-    om = spectrum.omega
     S = spectrum.values
-    tp = point.spectra.theta_plus
-    tm = point.spectra.theta_minus
-    bound = point.spectra.boundary_mask
     rate, ds, dc = densities(S, point.spectra)
-    rate_b = rate / math.log(2.0)
+    columns = [
+        spectrum.omega,
+        S,
+        point.spectra.theta_plus,
+        point.spectra.theta_minus,
+        ds,
+        dc,
+        rate / math.log(2.0),
+        point.spectra.boundary_mask,
+    ]
     # 17 significant digits read back bit-exact, so a reloaded noise pair
-    # stays inside the triangle tp <= tm <= S/2 that simulate checks
-    for k in range(spectrum.grid_size):
-        writer.writerow(
-            [
-                f"{om[k]:.17g}",
-                f"{S[k]:.17g}",
-                f"{tp[k]:.17g}",
-                f"{tm[k]:.17g}",
-                f"{ds[k]:.17g}",
-                f"{dc[k]:.17g}",
-                f"{rate_b[k]:.17g}",
-                int(bound[k]),
-            ]
-        )
-    return out.getvalue()
+    # stays inside the triangle 0 <= tp <= tm <= S/2 that the reader checks
+    return _csv_table(manifest, SPECTRA_CSV_COLUMNS, ["%.17g"] * 7 + ["%d"], columns)
 
 
 def _load_spectra_csv(path: str) -> tuple[Spectrum, NoiseSpectra]:
-    S, tp, tm, bound = [], [], [], []
+    """Source and noise spectra from a per-frequency CSV; on_boundary is optional."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            rows = [line for line in fh if not line.startswith("#")]
-        for rec in csv.DictReader(rows):
-            S.append(float(rec["source"]))
-            tp.append(float(rec["theta_plus"]))
-            tm.append(float(rec["theta_minus"]))
-            bound.append(bool(int(rec.get("on_boundary", "0"))))
-    except (OSError, KeyError, TypeError, ValueError) as e:
+            header = next((line for line in fh if not line.startswith("#")), "")
+            header = [name.strip('"') for name in header.rstrip("\r\n").split(",")]
+            cols = [header.index(name) for name in ("source", "theta_plus", "theta_minus")]
+            cols += [header.index("on_boundary")] if "on_boundary" in header else []
+            with warnings.catch_warnings():
+                # a header without rows is reported below, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(
+                    fh, delimiter=",", comments="#", quotechar='"', usecols=cols, ndmin=2
+                )
+    except (OSError, ValueError) as e:
         raise ConfigError(f"bad spectra CSV {path}: {e!r}") from e
-    if not S:
+    if not len(table):
         raise ConfigError(f"no spectra rows in {path}")
-    return Spectrum(np.asarray(S)), NoiseSpectra(
-        np.asarray(tp), np.asarray(tm), np.asarray(bound)
-    )
+    S, tp, tm, *on_boundary = np.ascontiguousarray(table.T)
+    slack = 1e-12 * np.maximum(S, 1.0)
+    outside = ~((tp >= -slack) & (tp <= tm + slack) & (tm <= 0.5 * S + slack))
+    if np.any(outside):
+        raise ConfigError(
+            f"bad spectra CSV {path}: data row {int(np.argmax(outside)) + 1} is outside "
+            "0 <= theta_plus <= theta_minus <= source/2"
+        )
+    bound = on_boundary[0] != 0 if on_boundary else np.zeros(S.size, dtype=bool)
+    return Spectrum(S), NoiseSpectra(tp, tm, bound)
 
 
 def _add_spectrum_args(p: argparse.ArgumentParser, required: bool = True) -> None:
@@ -230,15 +229,35 @@ def _add_spectrum_args(p: argparse.ArgumentParser, required: bool = True) -> Non
     p.add_argument("--regularize-eps", type=float, default=1e-9)
 
 
-def _cmd_solve(args, argv) -> int:
-    spectrum, d_eps = _prepare_spectrum(args)
-    point = evaluate(spectrum, LagrangePair(args.lambda1, args.lambda2))
+def _emit_point(args, argv, spectrum: Spectrum, point: RdfPoint, d_eps: float) -> int:
+    """Result JSON of solve and fit, and with --csv the per-frequency table."""
+    def db(x):
+        return 10.0 * math.log10(x) if x > 0 else None
+
     manifest = _manifest(argv, None)
-    payload = {"manifest": manifest, "result": _point_payload(point, d_eps, args.grid_size)}
+    result = {
+        "lambda1": point.lambdas.lambda1,
+        "lambda2": point.lambdas.lambda2,
+        "rate_nats": point.rate,
+        "rate_bits": point.rate_bits,
+        "d_side": point.d_side,
+        "d_central": point.d_central,
+        "d_side_db": db(point.d_side),
+        "d_central_db": db(point.d_central),
+        "d_eps": d_eps,
+        "grid_size": args.grid_size,
+    }
+    payload = {"manifest": manifest, "result": result}
     _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.csv:
         _atomic_write(args.csv, _spectra_csv(spectrum, point, manifest))
     return EXIT_OK
+
+
+def _cmd_solve(args, argv) -> int:
+    spectrum, d_eps = _prepare_spectrum(args)
+    point = evaluate(spectrum, LagrangePair(args.lambda1, args.lambda2))
+    return _emit_point(args, argv, spectrum, point, d_eps)
 
 
 def _cmd_fit(args, argv) -> int:
@@ -248,12 +267,7 @@ def _cmd_fit(args, argv) -> int:
         raise TargetInfeasible("dc must not exceed ds")
     spectrum, d_eps = _prepare_spectrum(args)
     point = fit_lambdas(spectrum, DistortionPair(args.ds, args.dc), tol=args.tol)
-    manifest = _manifest(argv, None)
-    payload = {"manifest": manifest, "result": _point_payload(point, d_eps, args.grid_size)}
-    _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if args.csv:
-        _atomic_write(args.csv, _spectra_csv(spectrum, point, manifest))
-    return EXIT_OK
+    return _emit_point(args, argv, spectrum, point, d_eps)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -273,23 +287,10 @@ def _cmd_sweep(args, argv) -> int:
     grid1 = _parse_grid(args.lambda1_grid)
     grid2 = _parse_grid(args.lambda2_grid)
     points = sweep(spectrum, grid1, grid2)
-    manifest = _manifest(argv, None)
-    out = io.StringIO()
-    out.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\r\n")
-    writer = csv.writer(out, dialect="excel", lineterminator="\r\n")
-    writer.writerow(["lambda1", "lambda2", "rate_nats", "rate_bits", "d_side", "d_central"])
-    for pt in points:
-        writer.writerow(
-            [
-                f"{pt.lambdas.lambda1:.10g}",
-                f"{pt.lambdas.lambda2:.10g}",
-                f"{pt.rate:.10g}",
-                f"{pt.rate_bits:.10g}",
-                f"{pt.d_side:.10g}",
-                f"{pt.d_central:.10g}",
-            ]
-        )
-    _emit(args.out, out.getvalue())
+    row = attrgetter("lambdas.lambda1", "lambdas.lambda2", "rate", "rate_bits", "d_side", "d_central")
+    columns = np.array([*map(row, points)]).T
+    header = ["lambda1", "lambda2", "rate_nats", "rate_bits", "d_side", "d_central"]
+    _emit(args.out, _csv_table(_manifest(argv, None), header, ["%.10g"] * 6, columns))
     return EXIT_OK
 
 

@@ -81,7 +81,7 @@ def _pq_closed_form(S, l1, l2):
     return p, q
 
 
-def discriminant(S, lam: LagrangePair) -> CubicDiagnostics:
+def discriminant(S: float, lam: LagrangePair) -> CubicDiagnostics:
     """Reduced-cubic quantities p, q, discriminant xi and trig phase phi."""
     # through the module, so that run_all's perturbation reaches it
     a2, a1, a0 = ss.cubic_coeffs(S, lam)
@@ -91,12 +91,10 @@ def discriminant(S, lam: LagrangePair) -> CubicDiagnostics:
     # pi + arctan for q < 0, pi/2 at q = 0; phi lies in [0, pi].
     with np.errstate(invalid="ignore"):
         phi = np.where(xi < 0.0, np.arctan2(np.sqrt(np.maximum(-xi, 0.0)), q), np.nan)
-    if np.ndim(S) == 0:
-        return CubicDiagnostics(
-            a2=float(a2), a1=float(a1), a0=float(a0),
-            p=float(p), q=float(q), xi=float(xi), phi=float(phi),
-        )
-    return CubicDiagnostics(a2=a2, a1=a1, a0=a0, p=p, q=q, xi=xi, phi=phi)
+    return CubicDiagnostics(
+        a2=float(a2), a1=float(a1), a0=float(a0),
+        p=float(p), q=float(q), xi=float(xi), phi=float(phi),
+    )
 
 
 def _xi_is_nonnegative(diag: CubicDiagnostics):

@@ -4,9 +4,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from mdrdf.cli import SPECTRA_CSV_COLUMNS, main, parse_spectrum_spec
+from mdrdf import LagrangePair, evaluate
+from mdrdf.cli import SPECTRA_CSV_COLUMNS, _load_spectra_csv, main, parse_spectrum_spec
+from mdrdf.rdf import densities
 
 from conftest import needs_cc
 
@@ -37,6 +40,110 @@ class TestSpectrumSpecs:
         s = parse_spectrum_spec(f"table:{path}", 128)
         assert s.values[0] == pytest.approx(2.0, abs=0.05)
         assert s.values[-1] == pytest.approx(0.0, abs=0.05)
+
+
+# the exact tables under SOURCE_DATE_EPOCH=0: CRLF rows, 17 significant
+# digits per spectra field (a zero-rate bin's rate as "0"), an integer
+# on_boundary, and 10 significant digits per sweep field
+SPECTRA_CSV_TEXT = (
+    '# manifest: {"command": ["mdrdf", "solve", "--spectrum", "cosine", "--grid-size", "6", '
+    '"--lambda1", "0.238", "--lambda2", "2.7", "--out", "point.json", "--csv", "spectra.csv"], '
+    '"seed": null, "timestamp": "1970-01-01T00:00:00+00:00", "version": "0.1.0"}\r\n'
+    "omega,source,theta_plus,theta_minus,d_side,d_central,rate_bits,on_boundary\r\n"
+    "0.26179938779914941,1.9659258262890682,0.060304203418290264,0.60756403485545374,"
+    "0.66786823827374397,0.087276888735721078,1.1802267568895985,0\r\n"
+    "0.78539816339744828,1.7071067811865475,0.058607638533516138,0.56272185940920361,"
+    "0.62132949794271974,0.0874264377885271,1.1163450438799838,0\r\n"
+    "1.3089969389957472,1.2588190451025207,0.055259953551837056,0.46582920616014567,"
+    "0.52108915971198277,0.087721530020245464,0.98597266544760898,0\r\n"
+    "1.8325957145940459,0.74118095489747937,0.050749769864749786,0.31431816014970315,"
+    "0.36506793001445292,0.088119094360070205,0.7764882021011289,0\r\n"
+    "2.3561944901923448,0.29289321881345254,0.046398843733558147,0.13933949777574214,"
+    "0.1857383415093003,0.088502620441264127,0.43249613906050771,0\r\n"
+    "2.8797932657906435,0.034074173710931799,0.017037086855465899,0.017037086855465899,"
+    "0.034074173710931799,0.034074173710931799,0,1\r\n"
+)
+SWEEP_CSV_TEXT = (
+    '# manifest: {"command": ["mdrdf", "sweep", "--spectrum", "flat:1", "--grid-size", "8", '
+    '"--lambda1-grid", "0.1:10:2", "--lambda2-grid", "0.5:5:2", "--out", "sweep.csv"], '
+    '"seed": null, "timestamp": "1970-01-01T00:00:00+00:00", "version": "0.1.0"}\r\n'
+    "lambda1,lambda2,rate_nats,rate_bits,d_side,d_central\r\n"
+    "0.1,0.5,0.1990989162,0.2872390191,0.7111960306,0.452300127\r\n"
+    "0.1,5,0.7538825448,1.087622609,0.4799539495,0.04945881646\r\n"
+    "10,0.5,1.510680832,2.179451744,0.04874929643,0.02438950083\r\n"
+    "10,5,1.603504161,2.313367501,0.04131131476,0.01694667837\r\n"
+)
+
+
+class TestTableBytes:
+    @pytest.fixture(autouse=True)
+    def pinned(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        monkeypatch.chdir(tmp_path)
+
+    def test_spectra_csv_bytes(self, tmp_path):
+        argv = ["solve", "--spectrum", "cosine", "--grid-size", "6", "--lambda1", "0.238"]
+        assert main([*argv, "--lambda2", "2.7", "--out", "point.json", "--csv", "spectra.csv"]) == 0
+        assert (tmp_path / "spectra.csv").read_bytes() == SPECTRA_CSV_TEXT.encode()
+
+    def test_spectra_csv_rows_across_blocks(self, tmp_path):
+        # rows are formatted 8192 at a time: past one block, every row must
+        # still equal the row-by-row formatting of the evaluated point
+        n = 8192 + 17
+        argv = ["solve", "--spectrum", "cosine", "--grid-size", str(n), "--lambda1", "0.238"]
+        assert main([*argv, "--lambda2", "2.7", "--out", "point.json", "--csv", "spectra.csv"]) == 0
+        spectrum = parse_spectrum_spec("cosine", n)
+        noise = evaluate(spectrum, LagrangePair(0.238, 2.7)).spectra
+        rate, ds, dc = densities(spectrum.values, noise)
+        columns = [
+            spectrum.omega, spectrum.values, noise.theta_plus, noise.theta_minus,
+            ds, dc, rate / math.log(2.0),
+        ]
+        want = [
+            ",".join([*(f"{c[k]:.17g}" for c in columns), str(int(noise.boundary_mask[k]))])
+            for k in range(n)
+        ]
+        assert noise.boundary_mask.any() and not noise.boundary_mask.all()
+        assert (tmp_path / "spectra.csv").read_bytes().decode().split("\r\n")[2:] == [*want, ""]
+
+    def test_sweep_csv_bytes(self, tmp_path):
+        argv = ["sweep", "--spectrum", "flat:1", "--grid-size", "8", "--lambda1-grid", "0.1:10:2"]
+        assert main([*argv, "--lambda2-grid", "0.5:5:2", "--out", "sweep.csv"]) == 0
+        assert (tmp_path / "sweep.csv").read_bytes() == SWEEP_CSV_TEXT.encode()
+
+    def test_reader_returns_evaluated_arrays(self, tmp_path):
+        (tmp_path / "spectra.csv").write_bytes(SPECTRA_CSV_TEXT.encode())
+        spectrum = parse_spectrum_spec("cosine", 6)
+        noise = evaluate(spectrum, LagrangePair(0.238, 2.7)).spectra
+        read_spectrum, read_noise = _load_spectra_csv("spectra.csv")
+        pairs = [
+            (read_spectrum.values, spectrum.values),
+            (read_noise.theta_plus, noise.theta_plus),
+            (read_noise.theta_minus, noise.theta_minus),
+            (read_noise.boundary_mask, noise.boundary_mask),
+        ]
+        for got, want in pairs:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert noise.boundary_mask.any()
+        # RFC 4180 quoting of names and fields reads the same arrays
+        quoted = "\r\n".join(
+            ",".join(f'"{field}"' for field in line.split(","))
+            for line in SPECTRA_CSV_TEXT.split("\r\n")[1:-1]
+        )
+        (tmp_path / "quoted.csv").write_text(quoted + "\r\n")
+        read_spectrum, read_noise = _load_spectra_csv("quoted.csv")
+        assert np.array_equal(read_spectrum.values, spectrum.values)
+        assert np.array_equal(read_noise.theta_plus, noise.theta_plus)
+        assert np.array_equal(read_noise.boundary_mask, noise.boundary_mask)
+        # on_boundary may be left out: every bin then reads as interior
+        lines = SPECTRA_CSV_TEXT.split("\r\n")
+        dropped = "\r\n".join(line.rpartition(",")[0] for line in lines[1:-1])
+        (tmp_path / "no_boundary.csv").write_text(dropped + "\r\n")
+        read_spectrum, read_noise = _load_spectra_csv("no_boundary.csv")
+        assert np.array_equal(read_noise.theta_minus, noise.theta_minus)
+        assert read_noise.boundary_mask.dtype == bool
+        assert not read_noise.boundary_mask.any()
 
 
 class TestSolve:
@@ -383,6 +490,38 @@ class TestInputErrors:
         code, _, err = run_cli(["simulate", "--spectra", str(spectra_csv)], capsys)
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize(
+        "tp_share, tm_share",
+        [(0.05, 0.9), (0.3, 0.2), (-0.01, 0.4)],
+        ids=["tm-above-half-source", "tp-above-tm", "negative-tp"],
+    )
+    def test_spectra_outside_triangle_exit_2(self, tp_share, tm_share, capsys, tmp_path, monkeypatch):
+        # each pair keeps tp + tm <= S, so only the triangle
+        # 0 <= tp <= tm <= S/2 rejects it, before anything is simulated
+        from mdrdf import sim
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated a noise pair outside the triangle")
+
+        monkeypatch.setattr(sim, "run_md_channel", no_run)
+        spectra_csv = tmp_path / "spectra.csv"
+        argv = ["solve", "--spectrum", "cosine", "--lambda1", "0.238", "--lambda2", "2.70"]
+        assert main([*argv, "--out", str(tmp_path / "pt.json"), "--csv", str(spectra_csv)]) == 0
+        lines = spectra_csv.read_text().splitlines()
+        rows = []
+        for line in lines[2:]:
+            fields = line.split(",")
+            S = float(fields[1])
+            fields[2:4] = [repr(tp_share * S), repr(tm_share * S)]
+            rows.append(",".join(fields))
+        spectra_csv.write_text("\r\n".join(lines[:2] + rows) + "\r\n")
+        code, _, err = run_cli(
+            ["simulate", "--spectra", str(spectra_csv), "--structure", "channel", "--samples", str(1 << 16)],
+            capsys,
+        )
+        assert code == 2
+        assert "theta_plus <= theta_minus <= source/2" in err
 
     def test_unwritable_output_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
