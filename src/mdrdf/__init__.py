@@ -21,7 +21,6 @@ from .spectra import (
     spectrum_from_predictor,
 )
 from .spectral_solver import FrequencySolution, LagrangePair, solve_frequency
-from .verify import CubicDiagnostics, brute_force_frequency
 from .white_md import (
     DistortionPair,
     ThetaPair,
@@ -35,7 +34,6 @@ from .white_md import (
 
 __all__ = [
     "DEFAULT_GRID_SIZE",
-    "CubicDiagnostics",
     "DistortionPair",
     "FrequencySolution",
     "LagrangePair",
@@ -45,7 +43,6 @@ __all__ = [
     "Spectrum",
     "ThetaPair",
     "autocorrelation",
-    "brute_force_frequency",
     "entropy_power",
     "evaluate",
     "fit_lambdas",

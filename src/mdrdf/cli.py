@@ -261,8 +261,8 @@ def _cmd_solve(args, argv) -> int:
 
 
 def _cmd_fit(args, argv) -> int:
-    if not (args.ds > 0 and args.dc > 0):
-        raise ConfigError("ds and dc must be positive")
+    if not (0 < args.ds < math.inf and 0 < args.dc < math.inf):
+        raise ConfigError("ds and dc must be positive and finite")
     if args.dc > args.ds:
         raise TargetInfeasible("dc must not exceed ds")
     spectrum, d_eps = _prepare_spectrum(args)
@@ -328,7 +328,7 @@ def _cmd_simulate(args, argv) -> int:
 def _cmd_verify(args, argv) -> int:
     from . import verify as verify_mod
 
-    results = verify_mod.run_all(perturb_cubic=args.perturb_cubic)
+    results = verify_mod.run_all()
     failed = [name for name, ok, _ in results if not ok]
     for name, ok, detail in results:
         line = f"{name}: {'PASS' if ok else 'FAIL'}"
@@ -388,12 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run the analytical property suites")
-    p.add_argument(
-        "--perturb-cubic",
-        type=float,
-        default=0.0,
-        help="test hook: perturb a cubic coefficient to confirm detection",
-    )
     p.set_defaults(func=_cmd_verify)
     return parser
 

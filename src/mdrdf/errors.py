@@ -9,8 +9,12 @@ class NonPositiveSpectrum(MdrdfError):
     """A spectrum required to be strictly positive has a value <= 0."""
 
 
-class LagTooLarge(MdrdfError):
-    """Requested autocorrelation lag exceeds what the grid supports."""
+class LagTooLarge(MdrdfError, ValueError):
+    """Requested autocorrelation lag exceeds what the grid supports.
+
+    Also a ValueError: a grid too short for the filter orders is a
+    configuration error, not a numeric failure.
+    """
 
 
 class SingularToeplitz(MdrdfError):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from mdrdf import LagrangePair, evaluate
+from mdrdf import LagrangePair, evaluate, spectral_solver
 from mdrdf.cli import SPECTRA_CSV_COLUMNS, _load_spectra_csv, main, parse_spectrum_spec
 from mdrdf.rdf import densities
 
@@ -450,6 +450,21 @@ class TestSimulateCommand:
         assert code == 0
         assert json.loads(out)["result"]["d_side_1"] > 0
 
+    def test_shortest_grid_for_filter_orders(self, capsys):
+        code, out, err = run_cli(
+            [
+                "simulate",
+                "--spectrum", "flat:1",
+                "--grid-size", "96",
+                "--lambda1", "1",
+                "--lambda2", "1",
+                "--samples", "65536",
+            ],
+            capsys,
+        )
+        assert code == 0, err
+        assert json.loads(out)["result"]["d_side_1"] > 0
+
     def test_neither_spectrum_nor_spectra_exit_2(self, capsys):
         code, _, _ = run_cli(["simulate", "--lambda1", "1", "--lambda2", "1"], capsys)
         assert code == 2
@@ -461,8 +476,10 @@ class TestInputErrors:
         [
             ["solve", "--spectrum", "cosine", "--lambda1", "inf", "--lambda2", "1"],
             ["fit", "--spectrum", "cosine", "--ds", "nan", "--dc", "0.1"],
+            ["fit", "--spectrum", "cosine", "--ds", "inf", "--dc", "0.1"],
+            ["fit", "--spectrum", "cosine", "--ds", "0.4", "--dc", "inf"],
         ],
-        ids=["solve-inf-lambda", "fit-nan-target"],
+        ids=["solve-inf-lambda", "fit-nan-target", "fit-inf-ds", "fit-inf-dc"],
     )
     def test_non_finite_exit_2(self, argv, capsys):
         code, out, _ = run_cli(argv, capsys)
@@ -523,6 +540,34 @@ class TestInputErrors:
         assert code == 2
         assert "theta_plus <= theta_minus <= source/2" in err
 
+    @pytest.mark.parametrize("grid_size", ["64", "95"])
+    def test_simulate_grid_too_short_exit_2(self, grid_size, capsys):
+        # the order-96 shaper is fitted on the 2N-bin interleaved mask
+        code, out, err = run_cli(
+            [
+                "simulate",
+                "--spectrum", "flat:1",
+                "--grid-size", grid_size,
+                "--lambda1", "1",
+                "--lambda2", "1",
+                "--samples", "65536",
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "lags=96 exceeds" in err
+
+    def test_two_row_spectra_csv_exit_2(self, capsys, tmp_path):
+        spectra_csv = tmp_path / "spectra.csv"
+        spectra_csv.write_text("source,theta_plus,theta_minus\r\n1,0.2,0.3\r\n1,0.2,0.3\r\n")
+        code, out, err = run_cli(
+            ["simulate", "--spectra", str(spectra_csv), "--samples", "65536"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "lags=32 exceeds N/2=1" in err
+
     def test_unwritable_output_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             [
@@ -538,24 +583,45 @@ class TestInputErrors:
         assert "cannot write" in err
 
 
-class TestEntryPoint:
-    def test_console_script_verify_hook(self):
-        # the injected perturbation must be caught with the property named
-        proc = subprocess.run(
-            [sys.executable, "-m", "mdrdf.cli", "verify", "--perturb-cubic", "1e-6"],
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert proc.returncode != 0
-        assert "cubic-residuals: FAIL" in proc.stdout
+class TestVerifyCommand:
+    def test_all_suites_pass(self, capsys):
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 0, out
+        assert out.splitlines()[-1] == "8/8 property suites passed"
+
+    def test_perturbed_cubic_fails_five_suites(self, capsys, monkeypatch):
+        # a coefficient off by 1e-6 reaches the solver and the reference
+        # discriminant alike, and the suites that check either must say so
+        original = spectral_solver.cubic_coeffs
+
+        def perturbed(S, lam):
+            a2, a1, a0 = original(S, lam)
+            return a2, a1 * (1.0 + 1e-6) + 1e-6, a0
+
+        monkeypatch.setattr(spectral_solver, "cubic_coeffs", perturbed)
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 1
+        failed = [line.split(":")[0] for line in out.splitlines() if ": FAIL" in line]
+        assert failed == [
+            "cubic-residuals",
+            "root-ordering",
+            "discriminant-consistency",
+            "gradient-residuals",
+            "oracle-equivalence",
+        ]
+        assert out.splitlines()[-1] == "3/8 property suites passed"
+
+    def test_no_perturbation_option(self, capsys):
+        code, _, err = run_cli(["verify", "--perturb-cubic", "1e-6"], capsys)
+        assert code == 2
+        assert "unrecognized arguments" in err
 
 
 class TestImportCost:
     def test_only_simulate_loads_scipy(self, tmp_path):
         # solve, sweep and fit run on numpy alone: they never import
-        # mdrdf.sim, and the fit needs no scipy.optimize; the names cli used
-        # to import from sim still resolve
+        # mdrdf.sim or mdrdf.verify, and the fit needs no scipy.optimize;
+        # the names cli used to import from sim still resolve
         script = """
 import sys
 import mdrdf.cli
@@ -567,7 +633,7 @@ for argv in (
     ["fit", "--spectrum", "cosine", "--ds", "0.4", "--dc", "0.08"],
 ):
     assert mdrdf.cli.main([*argv, "--out", f"{out}/{argv[0]}.out"]) == 0, argv
-loaded = [name for name in ("scipy.signal", "scipy.optimize") if name in sys.modules]
+loaded = [name for name in ("scipy.signal", "scipy.optimize", "mdrdf.verify") if name in sys.modules]
 assert not loaded, loaded
 codec = mdrdf.cli.run_md_codec
 import mdrdf.sim

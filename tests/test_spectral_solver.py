@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdrdf import LagrangePair, Spectrum, brute_force_frequency, evaluate, solve_frequency
+from mdrdf import LagrangePair, Spectrum, evaluate, solve_frequency
 from mdrdf import spectral_solver
 from mdrdf.errors import DomainError
 from mdrdf.spectral_solver import (
@@ -19,6 +19,7 @@ from mdrdf.spectral_solver import (
 from mdrdf.verify import (
     _pq_closed_form,
     appendix_roots,
+    brute_force_frequency,
     count_mesh_minima,
     cubic_roots,
     discriminant,
