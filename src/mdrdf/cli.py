@@ -134,6 +134,8 @@ def parse_spectrum_spec(spec: str, grid_size: int) -> Spectrum:
             raise ConfigError("table arrays must be nonempty and equal length")
         if np.any(vals_in < 0):
             raise ConfigError("table values must be nonnegative")
+        if not (np.all(np.isfinite(om_in)) and np.all(np.diff(om_in) > 0)):
+            raise ConfigError("table omega must be finite and strictly increasing")
         om = midpoint_omega(grid_size)
         return Spectrum(np.interp(om, om_in, vals_in))
     raise ConfigError(f"unknown spectrum kind {kind!r}")

@@ -1,10 +1,10 @@
 """Filter construction for the time-domain coding structures.
 
 Builds the interleaved upsampled-rate noise spectrum, the recursive
-noise shaper 1 + C(z) = 1/(1 - Q(z)) from the mask predictor Q, the
-pre/post magnitude responses F and G, and the half-band interpolator.
-F and G are zero phase: real and even in omega, so their impulse
-responses are real.
+noise shaper 1 + C(z) = 1/(1 - Q(z)) from the mask predictor Q, and the
+pre/post magnitude responses F and G. F and G are zero phase: real and
+even in omega, so their impulse responses are real. The simulator applies
+them, and its ideal half-band interpolator and decoder, on the FFT grid.
 """
 
 from __future__ import annotations
@@ -73,19 +73,3 @@ def sd_prefilter(source: Spectrum, mask: Spectrum) -> NDArray[np.float64]:
     if np.any(D > S * (1.0 + 1e-12)):
         raise MaskExceedsSource("distortion mask exceeds the source spectrum")
     return np.sqrt(np.maximum(S - D, 0.0) / S)
-
-
-def halfband_interpolator(taps: int = 511, beta: float = 8.6) -> NDArray[np.float64]:
-    """Kaiser-windowed sinc half-band lowpass, cutoff pi/2, unity DC gain.
-
-    Every second tap except the center is zero up to rounding; stopband
-    attenuation exceeds 60 dB for the default design. Interpolation by two
-    uses 2*h after zero stuffing to preserve amplitude.
-    """
-    if taps < 63 or taps % 2 == 0:
-        raise ValueError("taps must be odd and >= 63")
-    m = (taps - 1) // 2
-    n = np.arange(taps) - m
-    h = 0.5 * np.sinc(n / 2.0)
-    h *= np.kaiser(taps, beta)
-    return h / h.sum()

@@ -13,7 +13,9 @@ variance, which is what every measured quantity depends on.
 The noise shaper is the recursive filter 1 + C = 1/(1 - Q) of the mask
 predictor Q. Only ecdq mode runs the sequential loop, because the
 quantizer makes it nonlinear. In awgn mode the loop algebra collapses to
-V = U + Z/(1 - Q) and Y = (1 - A) V. The half-band filters are polyphase.
+V = U + Z/(1 - Q) and Y = (1 - A) V. The pre and post filters F and G,
+the interpolator and the central decoder are zero phase and applied
+exactly on the FFT grid of the signal they filter.
 
 In both modes the ecdq loop and the all-pole filters 1/(1 - A) (source
 synthesis, awgn noise shaping, codec decoding) run as one compiled C
@@ -36,13 +38,7 @@ from numpy.typing import NDArray
 
 from . import dsq_kernel
 from .errors import SignalTooShort
-from .filters import (
-    halfband_interpolator,
-    interleave_theta,
-    noise_shaper,
-    pre_post_filters,
-    sd_prefilter,
-)
+from .filters import interleave_theta, noise_shaper, pre_post_filters, sd_prefilter
 from .rdf import NoiseSpectra
 from .spectra import PredictorCoeffs, Spectrum, entropy_power, midpoint_omega, optimal_predictor
 
@@ -58,19 +54,12 @@ PREDICTOR_ORDER = 32
 # steps at pi/2, and at order 96 the shaped noise follows a two-step mask
 # within 5% away from the step.
 SHAPER_ORDER = 96
-# Kaiser half-band filters: the encoder's interpolator and the central
-# decoder. 511 = 1023 modulo 4, so their total group delay (255 + 511
-# upsampled samples) is even and the central path lands on the integer
-# source-sample grid, 383 samples late.
-INTERP_TAPS = 511
-DECODER_TAPS = 1023
-_CENTRAL_DELAY = (INTERP_TAPS - 1) // 2 + (DECODER_TAPS - 1) // 2
 # Zero-rate bins of a mask are raised to this floor before the shaper's
 # predictor fit and the rate's entropy power, which need a positive mask.
 MASK_FLOOR = 1e-5
-# Samples dropped at each end of every measured window: more than the
-# longest filter transient, 863 = SHAPER_ORDER + (INTERP_TAPS +
-# DECODER_TAPS) // 2.
+# Samples dropped at each end of every measured window: the all-pole
+# filters start from rest there, and the FFT-grid filters, being circular,
+# wrap one end of the signal onto the other.
 WARMUP = 2048
 
 
@@ -79,8 +68,7 @@ class SimConfig:
     """Run parameters for the time-domain simulations.
 
     The Welch segment must be a power of two, with 8 segments in the
-    shortest measured window: the central path's, num_samples - 2 * WARMUP
-    - 384 samples.
+    measured window of every path, num_samples - 2 * WARMUP samples.
     """
 
     num_samples: int = 1 << 18
@@ -99,7 +87,7 @@ class SimConfig:
         seg = self.welch_segment
         if seg < 2 or seg & (seg - 1):
             raise ValueError(f"welch segment {seg} is not a power of two")
-        window = self.num_samples - 2 * WARMUP - (_CENTRAL_DELAY // 2 + 1)
+        window = self.num_samples - 2 * WARMUP
         if seg > window // 8:
             raise ValueError(
                 f"welch segment {seg} leaves fewer than 8 segments in the "
@@ -271,27 +259,25 @@ def _analytic_rate(source: Spectrum, mask: Spectrum) -> float:
 
 
 def _interpolate(x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Zero-stuff x by two and interpolate with the encoder's half-band filter,
-    in polyphase form: the even taps over x give the even outputs, and the
-    centre tap, the one odd tap that is not a sinc zero, the odd outputs."""
-    h = 2.0 * halfband_interpolator(INTERP_TAPS)
-    c = (INTERP_TAPS - 1) // 2
-    out = np.zeros(2 * x.size)
-    out[0::2] = np.convolve(x, h[0::2])[: x.size]
-    out[c::2] = h[c] * x[: x.size - c // 2]
-    return out
+    """Upsample x by two through the ideal zero-phase half-band filter: the
+    spectrum of x moves onto [-pi/2, pi/2] and nothing lands above it. The
+    Nyquist bin of an even-length x is split between +pi/2 and -pi/2. The
+    even outputs are x."""
+    X = np.fft.rfft(x)
+    if x.size % 2 == 0:
+        X[-1] *= 0.5
+    return 2.0 * np.fft.irfft(X, 2 * x.size)
 
 
-def _decode_central(v_up: NDArray[np.float64], n_central: int) -> NDArray[np.float64]:
-    """The central decoder's half-band filter at the outputs it keeps,
-    w[2k + _CENTRAL_DELAY] for k < n_central, in polyphase form: the even
-    taps over description 0 plus the centre tap on description 1."""
-    h = halfband_interpolator(DECODER_TAPS)
-    c = (DECODER_TAPS - 1) // 2
-    half = _CENTRAL_DELAY // 2
-    w = np.convolve(v_up[0::2], h[0::2])[half : half + n_central]
-    w += h[c] * v_up[_CENTRAL_DELAY - c :: 2][:n_central]
-    return w
+def _decode_central(v_up: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The central decoder: low-pass the upsampled V to |omega| <= pi/2, the
+    interpolator's band, and keep the even samples, where the bins at +pi/2
+    and -pi/2 fold onto one Nyquist bin (even n). Undoes `_interpolate`."""
+    n = v_up.size // 2
+    V = np.fft.rfft(v_up)[: n // 2 + 1]
+    if n % 2 == 0:
+        V[-1] *= 2.0
+    return 0.5 * np.fft.irfft(V, n)
 
 
 def _encode(source: Spectrum, mask: Spectrum, f_mag: NDArray[np.float64], stride: int,
@@ -378,9 +364,7 @@ def _run_md(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig, decode) -> Si
 
     dc = errc = None
     if len(kept) == 2:
-        n_central = n - _CENTRAL_DELAY // 2 - 1
-        wc = _decode_central(v_up, n_central)
-        errc = (_zero_phase(wc, pp.g_mag, om) - x[:n_central])[WARMUP : n_central - WARMUP]
+        errc = (_zero_phase(_decode_central(v_up), pp.g_mag, om) - x)[WARMUP : n - WARMUP]
         dc = float(np.mean(errc * errc))
 
     # the first kept description gives the description process and the side PSD

@@ -10,7 +10,7 @@ stay strictly positive on the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -73,40 +73,30 @@ class PredictorCoeffs:
 
     coeffs: NDArray[np.float64]
     innovation_variance: float
-    reflection: NDArray[np.float64] = field(default=None, repr=False)
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.float64))
         object.__setattr__(self, "coeffs", c)
         if self.innovation_variance <= 0:
             raise ValueError("innovation variance must be positive")
-        if self.reflection is None:
-            object.__setattr__(self, "reflection", _step_down(c))
 
     @property
     def order(self) -> int:
         return self.coeffs.size
 
     def is_minimum_phase(self) -> bool:
-        """True when all reflection coefficients satisfy |kappa| < 1."""
-        return bool(np.all(np.abs(self.reflection) < 1.0))
+        """True when every reflection coefficient satisfies |kappa| < 1.
 
-
-def _step_down(coeffs: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Recover reflection coefficients from predictor coefficients."""
-    a = np.asarray(coeffs, dtype=np.float64).copy()
-    kappas = []
-    for i in range(a.size, 0, -1):
-        k = a[i - 1]
-        kappas.append(k)
-        if i > 1:
-            denom = 1.0 - k * k
-            if denom <= 0.0:
-                # |kappa| >= 1: not minimum phase, stop unwinding
-                kappas.extend(a[: i - 1][::-1])
-                break
-            a = (a[: i - 1] + k * a[: i - 1][::-1]) / denom
-    return np.array(kappas[::-1])
+        Steps the Levinson recursion down from the last coefficient, which
+        is the last kappa, and stops at the first kappa outside (-1, 1).
+        """
+        a = self.coeffs
+        for i in range(a.size, 0, -1):
+            k = a[i - 1]
+            if not -1.0 < k < 1.0:
+                return False
+            a = (a[: i - 1] + k * a[: i - 1][::-1]) / (1.0 - k * k)
+        return True
 
 
 def entropy_power(spectrum: Spectrum) -> float:
@@ -137,7 +127,6 @@ def autocorrelation(spectrum: Spectrum, lags: int) -> NDArray[np.float64]:
 
 def _levinson(r: NDArray[np.float64], order: int):
     a = np.zeros(order)
-    kappa = np.zeros(order)
     e = float(r[0])
     for i in range(1, order + 1):
         if e <= 0.0:
@@ -146,12 +135,11 @@ def _levinson(r: NDArray[np.float64], order: int):
         k = acc / e
         if abs(k) >= 1.0:
             raise SingularToeplitz(f"|kappa_{i}| = {abs(k):.3g} >= 1")
-        kappa[i - 1] = k
         a_prev = a[: i - 1].copy()
         a[i - 1] = k
         a[: i - 1] = a_prev - k * a_prev[::-1]
         e *= 1.0 - k * k
-    return a, e, kappa
+    return a, e
 
 
 def optimal_predictor(spectrum: Spectrum, order: int) -> PredictorCoeffs:
@@ -165,8 +153,8 @@ def optimal_predictor(spectrum: Spectrum, order: int) -> PredictorCoeffs:
     if np.any(spectrum.values <= 0.0):
         raise NonPositiveSpectrum("spectrum must be strictly positive")
     r = autocorrelation(spectrum, order)
-    a, e, kappa = _levinson(r, order)
-    return PredictorCoeffs(coeffs=a, innovation_variance=e, reflection=kappa)
+    a, e = _levinson(r, order)
+    return PredictorCoeffs(coeffs=a, innovation_variance=e)
 
 
 def spectrum_from_predictor(

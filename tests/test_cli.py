@@ -198,6 +198,17 @@ class TestSolve:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["ar:nan:1", "ar:1.5:1", "ar:2,-0.5:1"],
+                             ids=["nan", "first-kappa", "second-kappa"])
+    def test_ar_not_minimum_phase_exit_2(self, spec, capsys):
+        # 1 - 2 z^-1 + 0.5 z^-2 has its last kappa, -0.5, inside (-1, 1) and
+        # its first, 4/3, outside
+        code, out, err = run_cli(
+            ["solve", "--spectrum", spec, "--lambda1", "1", "--lambda2", "1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+
     def test_unknown_spectrum_exit_2(self, capsys):
         code, _, _ = run_cli(
             ["solve", "--spectrum", "bogus:1", "--lambda1", "1", "--lambda2", "1"],
@@ -485,6 +496,25 @@ class TestInputErrors:
         code, out, _ = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "omega",
+        [[math.pi, 2.0, 1.0, 0.0], [0.0, 1.0, 1.0, math.pi]],
+        ids=["descending", "repeated"],
+    )
+    def test_table_omega_not_increasing_exit_2(self, omega, capsys, tmp_path):
+        # np.interp reads any order as ascending: the descending table
+        # solved to a different rate from the same four points
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"omega": omega, "value": [2.0, 1.5, 1.0, 0.5]}))
+        code, out, err = run_cli(
+            ["solve", "--spectrum", f"table:{path}", "--grid-size", "8",
+             "--lambda1", "1", "--lambda2", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "strictly increasing" in err
 
     def test_missing_spectra_csv_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -4,7 +4,6 @@ import pytest
 from mdrdf import Spectrum, entropy_power, flat_spectrum, midpoint_omega, spectrum_from_predictor
 from mdrdf.errors import MaskExceedsSource, NegativeRadicand
 from mdrdf.filters import (
-    halfband_interpolator,
     interleave_theta,
     noise_shaper,
     pre_post_filters,
@@ -138,28 +137,3 @@ class TestSdPrefilter:
     def test_mask_guard(self):
         with pytest.raises(MaskExceedsSource):
             sd_prefilter(flat_spectrum(1.0, 32), flat_spectrum(1.5, 32))
-
-
-class TestHalfband:
-    def test_dc_gain(self):
-        h = halfband_interpolator(255)
-        assert np.sum(h) == pytest.approx(1.0, abs=1e-3)
-
-    def test_alias_rejection_at_three_quarter_pi(self):
-        h = halfband_interpolator(255)
-        w = 0.75 * np.pi
-        resp = np.abs(np.sum(h * np.exp(-1j * w * np.arange(h.size))))
-        assert 20 * np.log10(resp / np.sum(h)) < -60.0
-
-    def test_halfband_zeros(self):
-        h = halfband_interpolator(127)
-        center = (h.size - 1) // 2
-        even = h[center % 2 :: 2]
-        even = even[even != h[center]]
-        assert np.max(np.abs(even)) < 1e-15
-
-    def test_tap_guards(self):
-        with pytest.raises(ValueError):
-            halfband_interpolator(64)
-        with pytest.raises(ValueError):
-            halfband_interpolator(31)

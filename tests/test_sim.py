@@ -16,12 +16,9 @@ from mdrdf import (
     sim,
 )
 from mdrdf.errors import KernelUnavailableWarning, MaskExceedsSource, SignalTooShort
-from mdrdf.filters import halfband_interpolator, interleave_theta, noise_shaper
+from mdrdf.filters import interleave_theta, noise_shaper
 from mdrdf.rdf import NoiseSpectra
 from mdrdf.sim import (
-    _CENTRAL_DELAY,
-    DECODER_TAPS,
-    INTERP_TAPS,
     PREDICTOR_ORDER,
     QuantizerState,
     SimConfig,
@@ -305,27 +302,6 @@ class TestScipyEquivalence:
             got = welch_psd(signal, segment).values
             assert np.max(np.abs(got / want - 1.0)) <= 1e-12
 
-    def test_interpolate(self):
-        from scipy import signal as sig
-
-        x = np.random.default_rng(41).standard_normal(5000)
-        up = np.zeros(2 * x.size)
-        up[::2] = x
-        want = sig.lfilter(2.0 * halfband_interpolator(INTERP_TAPS), [1.0], up)
-        assert np.max(np.abs(_interpolate(x) - want)) <= 1e-13 * np.max(np.abs(x))
-
-    def test_central_decoder(self):
-        from scipy import signal as sig
-
-        n = 5000
-        v_up = np.random.default_rng(42).standard_normal(2 * n)
-        n_central = n - _CENTRAL_DELAY // 2 - 1
-        w = sig.lfilter(halfband_interpolator(DECODER_TAPS), [1.0], v_up)
-        want = w[2 * np.arange(n_central) + _CENTRAL_DELAY]
-        got = _decode_central(v_up, n_central)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(v_up))
-
     @needs_cc
     @pytest.mark.parametrize("order", [0, 1, 32, 96])
     def test_allpole(self, order, cosine):
@@ -340,6 +316,38 @@ class TestScipyEquivalence:
         assert a.size == order
         x = np.random.default_rng(43).standard_normal(1 << 16)
         assert_allpole_matches_lfilter(sim.dsq_kernel.load().allpole(x, a), x, a)
+
+
+class TestIdealHalfband:
+    """The ideal zero-phase interpolator and central decoder, at an even
+    length (with a Nyquist bin) and an odd one (without)."""
+
+    @pytest.mark.parametrize("n", [5000, 5001])
+    def test_even_outputs_are_input(self, n):
+        x = np.random.default_rng(41).standard_normal(n)
+        assert np.max(np.abs(_interpolate(x)[0::2] - x)) <= 1e-13 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("n", [5000, 5001])
+    def test_interpolation_is_band_limited(self, n):
+        x = np.random.default_rng(42).standard_normal(n)
+        spec = np.abs(np.fft.rfft(_interpolate(x)))
+        # bins above n/2 of the 2n-point spectrum lie above pi/2
+        assert np.max(spec[n // 2 + 1 :]) <= 1e-13 * np.max(spec)
+
+    @pytest.mark.parametrize("n", [5000, 5001])
+    def test_decoder_undoes_interpolation(self, n):
+        x = np.random.default_rng(43).standard_normal(n)
+        assert np.max(np.abs(_decode_central(_interpolate(x)) - x)) <= 1e-13 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("n", [5000, 5001])
+    def test_decoder_is_lowpass_at_even_samples(self, n):
+        v_up = np.random.default_rng(44).standard_normal(2 * n)
+        spec = np.fft.rfft(v_up)
+        spec[n // 2 + 1 :] = 0.0  # keep 0 <= omega <= pi/2 of the 2n-point grid
+        want = np.fft.irfft(spec, 2 * n)[0::2]
+        got = _decode_central(v_up)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(v_up))
 
 
 class TestSeedContract:
@@ -429,10 +437,10 @@ class TestMdChannel:
         n = 1024
         cfg = SimConfig(num_samples=1 << 18, seed=15)
         report = run_md_channel(flat_spectrum(1.0, n), flat_noise(0.05, 0.2, n), cfg)
-        # skip the interpolator transition band (source-rate image of the
-        # +-0.02*pi region around pi/2 at the upsampled rate)
+        # the ideal interpolator has no transition band, so the top band
+        # near pi is as white as the rest
         bands = band_means(report.psd_y, 25)
-        assert np.max(np.abs(bands[:24] - 1.0)) < 0.05
+        assert np.max(np.abs(bands - 1.0)) < 0.05
         assert report.y_variance == pytest.approx(1.0, rel=0.03)
 
     def test_error_spectra_match_analytics(self, ar1):
@@ -507,6 +515,19 @@ class TestMdCodec:
         assert report.d_central is None
         assert report.d_side_2 == pytest.approx(0.2, rel=0.05)
 
+    def test_odd_length(self):
+        # at an odd n the source-rate FFT grid has no Nyquist bin for the
+        # interpolator to split or the decoder to fold
+        n = 512
+        report = run_md_codec(
+            flat_spectrum(1.0, n),
+            flat_noise(0.1, 0.1, n),
+            SimConfig(num_samples=(1 << 16) + 1, seed=24),
+        )
+        assert report.d_side_1 == pytest.approx(0.2, rel=0.05)
+        assert report.d_side_2 == pytest.approx(0.2, rel=0.05)
+        assert report.d_central == pytest.approx(1.0 / 9.0, rel=0.05)
+
     def test_determinism_bit_identical(self):
         n = 512
         src = flat_spectrum(1.0, n)
@@ -531,16 +552,18 @@ class TestSimConfig:
             SimConfig(erasure="lose_both")
         with pytest.raises(ValueError, match="power of two"):
             SimConfig(welch_segment=1000)
-        # 65536 - 2 * 2048 - 384 = 61056 samples hold 7 segments of 8192
+        # 65536 - 2 * 2048 = 61440 samples hold 7 segments of 8192
         with pytest.raises(ValueError, match="8 segments"):
             SimConfig(num_samples=1 << 16, welch_segment=8192)
 
     def test_welch_segment_fills_shortest_window(self):
-        # at n = 2^16 + 4480 the central window, n - 4480 samples, holds
-        # exactly 8 segments of 8192; one sample fewer is rejected up front
+        # at n = 2^16 + 4096 the measured window, n - 4096 samples, holds
+        # exactly 8 segments of 8192; one sample fewer (an odd n) is
+        # rejected up front
         n = 512
-        cfg = SimConfig(num_samples=(1 << 16) + 4480, welch_segment=8192)
+        cfg = SimConfig(num_samples=(1 << 16) + 4096, welch_segment=8192)
         report = run_md_channel(flat_spectrum(1.0, n), flat_noise(0.1, 0.1, n), cfg)
+        assert report.psd_err_side.grid_size == 4096
         assert report.psd_err_central.grid_size == 4096
         with pytest.raises(ValueError, match="8 segments"):
-            SimConfig(num_samples=(1 << 16) + 4479, welch_segment=8192)
+            SimConfig(num_samples=(1 << 16) + 4095, welch_segment=8192)
