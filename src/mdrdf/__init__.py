@@ -7,7 +7,7 @@ simulation of the prediction / noise-shaping coding structures.
 
 __version__ = "0.1.0"
 
-from .rdf import NoiseSpectra, RdfPoint, evaluate, fit_lambdas, high_rate_approx, sweep
+from .rdf import NoiseSpectra, RdfPoint, evaluate, fit_lambdas, sweep
 from .spectra import (
     DEFAULT_GRID_SIZE,
     PredictorCoeffs,
@@ -26,8 +26,6 @@ from .white_md import (
     ThetaPair,
     is_nondegenerate,
     ozarow_rate,
-    ozarow_rate_hr,
-    prepost_factors,
     r0,
     theta_to_distortions,
 )
@@ -47,13 +45,10 @@ __all__ = [
     "evaluate",
     "fit_lambdas",
     "flat_spectrum",
-    "high_rate_approx",
     "is_nondegenerate",
     "midpoint_omega",
     "optimal_predictor",
     "ozarow_rate",
-    "ozarow_rate_hr",
-    "prepost_factors",
     "r0",
     "regularize",
     "solve_frequency",

@@ -98,7 +98,8 @@ def parse_spectrum_spec(spec: str, grid_size: int) -> Spectrum:
     """Build a spectrum from a compact CLI spec string.
 
     Kinds: 'flat:VAR', 'cosine', 'ar:A1,A2,...:INNOV_VAR',
-    'table:PATH.json' (keys 'omega', 'value', interpolated onto the grid).
+    'table:PATH.json' (keys 'omega', 'value'; 'omega' spans the grid's
+    first and last frequencies, and the values are interpolated onto it).
     """
     kind, _, rest = spec.partition(":")
     if kind == "flat":
@@ -137,6 +138,8 @@ def parse_spectrum_spec(spec: str, grid_size: int) -> Spectrum:
         if not (np.all(np.isfinite(om_in)) and np.all(np.diff(om_in) > 0)):
             raise ConfigError("table omega must be finite and strictly increasing")
         om = midpoint_omega(grid_size)
+        if om_in[0] > om[0] or om_in[-1] < om[-1]:
+            raise ConfigError(f"table omega does not cover the grid's [{om[0]}, {om[-1]}]")
         return Spectrum(np.interp(om, om_in, vals_in))
     raise ConfigError(f"unknown spectrum kind {kind!r}")
 
@@ -191,7 +194,7 @@ def _spectra_csv(spectrum: Spectrum, point: RdfPoint, manifest: dict) -> str:
         point.spectra.boundary_mask,
     ]
     # 17 significant digits read back bit-exact, so a reloaded noise pair
-    # stays inside the triangle 0 <= tp <= tm <= S/2 that the reader checks
+    # stays inside the triangle 0 < tp <= tm <= S/2 that the reader checks
     return _csv_table(manifest, SPECTRA_CSV_COLUMNS, ["%.17g"] * 7 + ["%d"], columns)
 
 
@@ -215,11 +218,11 @@ def _load_spectra_csv(path: str) -> tuple[Spectrum, NoiseSpectra]:
         raise ConfigError(f"no spectra rows in {path}")
     S, tp, tm, *on_boundary = np.ascontiguousarray(table.T)
     slack = 1e-12 * np.maximum(S, 1.0)
-    outside = ~((tp >= -slack) & (tp <= tm + slack) & (tm <= 0.5 * S + slack))
+    outside = ~((tp > 0) & (tp <= tm + slack) & (tm <= 0.5 * S + slack))
     if np.any(outside):
         raise ConfigError(
             f"bad spectra CSV {path}: data row {int(np.argmax(outside)) + 1} is outside "
-            "0 <= theta_plus <= theta_minus <= source/2"
+            "0 < theta_plus <= theta_minus <= source/2"
         )
     bound = on_boundary[0] != 0 if on_boundary else np.zeros(S.size, dtype=bool)
     return Spectrum(S), NoiseSpectra(tp, tm, bound)

@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 from .errors import NoConvergence, TargetInfeasible
 from .spectra import Spectrum
 from .spectral_solver import LagrangePair, lagrangian_hessian, solve_spectrum
-from .white_md import DistortionPair, ThetaPair
+from .white_md import DistortionPair
 
 # The equality fit stops once both distortions are within this fraction of
 # their targets, a few ulps of the integrals, or once a step no longer
@@ -79,19 +79,6 @@ def evaluate(spectrum: Spectrum, lam: LagrangePair) -> RdfPoint:
         # a zero-rate bin's S (S/2) / (S - S/2) can round one ulp above its D_S = S
         d_central=min(d_central, d_side),
         spectra=noise,
-    )
-
-
-def high_rate_approx(lam: LagrangePair) -> ThetaPair:
-    """Flat high-rate noise pair tm = 1/(4 l1), tp = 1/(4 (l1 + l2)).
-
-    Needs lambda1 > 0: with a slack side constraint tm is unbounded.
-    """
-    if lam.lambda1 == 0.0:
-        raise ValueError("high-rate approximation needs lambda1 > 0")
-    return ThetaPair(
-        theta_plus=0.25 / (lam.lambda1 + lam.lambda2),
-        theta_minus=0.25 / lam.lambda1,
     )
 
 

@@ -8,7 +8,8 @@ stride 1 for the single-description channel and at stride 2 for the two
 interleaved descriptions. Noise injection is either white Gaussian (awgn
 mode) or a scalar subtractive-dither uniform quantizer (ecdq mode); both
 have identical second moments when step^2/12 equals the injected
-variance, which is what every measured quantity depends on.
+variance, which is what every measured quantity depends on. The
+analytical rate is `evaluate`'s: the mean of `rdf.densities`'s rate.
 
 The noise shaper is the recursive filter 1 + C = 1/(1 - Q) of the mask
 predictor Q. Only ecdq mode runs the sequential loop, because the
@@ -39,8 +40,8 @@ from numpy.typing import NDArray
 from . import dsq_kernel
 from .errors import SignalTooShort
 from .filters import interleave_theta, noise_shaper, pre_post_filters, sd_prefilter
-from .rdf import NoiseSpectra
-from .spectra import PredictorCoeffs, Spectrum, entropy_power, midpoint_omega, optimal_predictor
+from .rdf import NoiseSpectra, densities
+from .spectra import PredictorCoeffs, Spectrum, midpoint_omega, optimal_predictor
 
 MODES = ("awgn", "ecdq")
 ERASURES = ("none", "lose_desc1", "lose_desc2")
@@ -55,7 +56,7 @@ PREDICTOR_ORDER = 32
 # within 5% away from the step.
 SHAPER_ORDER = 96
 # Zero-rate bins of a mask are raised to this floor before the shaper's
-# predictor fit and the rate's entropy power, which need a positive mask.
+# predictor fit, which needs a positive mask.
 MASK_FLOOR = 1e-5
 # Samples dropped at each end of every measured window: the all-pole
 # filters start from rest there, and the FFT-grid filters, being circular,
@@ -253,11 +254,6 @@ def _shaper_for_mask(mask: Spectrum) -> PredictorCoeffs:
     return noise_shaper(Spectrum(np.maximum(mask.values, MASK_FLOOR)), SHAPER_ORDER)
 
 
-def _analytic_rate(source: Spectrum, mask: Spectrum) -> float:
-    vals = mask.values if np.all(mask.values > 0) else np.maximum(mask.values, MASK_FLOOR)
-    return 0.5 * math.log(entropy_power(source) / entropy_power(Spectrum(vals)))
-
-
 def _interpolate(x: NDArray[np.float64]) -> NDArray[np.float64]:
     """Upsample x by two through the ideal zero-phase half-band filter: the
     spectrum of x moves onto [-pi/2, pi/2] and nothing lands above it. The
@@ -320,10 +316,14 @@ def run_sd_mask_channel(source: Spectrum, mask: Spectrum, cfg: SimConfig) -> Sim
     Pre-filter F, prediction with the source predictor, noise shaping with
     the mask predictor, injected noise of the mask innovation power. The
     reconstruction error spectrum reproduces the mask; the channel output
-    is white at the source innovation power.
+    is white at the source innovation power. The rate is the MD rate on
+    the lambda2 = 0 edge tp = tm = D/2, which is the single-description
+    R(D) (see `fit_lambdas`).
     """
     n = cfg.num_samples
     f_mag = sd_prefilter(source, mask)
+    D = mask.values
+    edge = NoiseSpectra(D / 2, D / 2, D >= source.values)
     x, _, shaper, v, y, indices = _encode(source, mask, f_mag, 1, cfg)
     xhat = _zero_phase(v, f_mag, source.omega)
 
@@ -335,7 +335,7 @@ def run_sd_mask_channel(source: Spectrum, mask: Spectrum, cfg: SimConfig) -> Sim
         d_side_1=None,
         d_side_2=None,
         d_central=float(np.mean(err * err)),
-        rate_analytical=_analytic_rate(source, mask),
+        rate_analytical=float(np.mean(densities(source.values, edge)[0])),
         rate_empirical=_empirical_entropy(indices[sl]) if indices is not None else None,
         psd_y=welch_psd(y_trim, cfg.welch_segment),
         psd_err_side=None,
@@ -351,9 +351,8 @@ def _run_md(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig, decode) -> Si
     the central path."""
     n = cfg.num_samples
     om = source.omega
-    tilde = interleave_theta(noise)
     pp = pre_post_filters(source, noise)
-    x, a, shaper, v_up, y_up, indices = _encode(source, tilde, pp.f_mag, 2, cfg)
+    x, a, shaper, v_up, y_up, indices = _encode(source, interleave_theta(noise), pp.f_mag, 2, cfg)
     v_up = decode(a, v_up, y_up)
     ref = _interpolate(x)
 
@@ -379,7 +378,7 @@ def _run_md(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig, decode) -> Si
         d_side_1=d_side[0],
         d_side_2=d_side[1],
         d_central=dc,
-        rate_analytical=_analytic_rate(source, tilde),
+        rate_analytical=float(np.mean(densities(source.values, noise)[0])),
         rate_empirical=rate_emp,
         psd_y=welch_psd(y_trim, cfg.welch_segment),
         psd_err_side=welch_psd(err[kept[0]], cfg.welch_segment),

@@ -5,8 +5,8 @@ by deflation from the dominant root and never branches on the
 discriminant. The paper's closed forms are kept here, to check it:
 Cardano with real cube roots for a nonnegative discriminant, the
 trigonometric roots for a negative one, the discriminant's product form
-over its roots in lambda2 and the appendix roots, and an independent
-brute-force oracle over the triangle.
+over its roots in lambda2 and the appendix roots, the flat high-rate
+noise pair, and an independent brute-force oracle over the triangle.
 
 Each suite returns (name, passed, detail). These duplicate the heart of
 the test suite in a form that runs from an installed package without
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import spectral_solver as ss
 from .errors import DomainError
-from .rdf import evaluate, high_rate_approx
+from .rdf import evaluate
 from .spectra import flat_spectrum
 from .spectral_solver import (
     LagrangePair,
@@ -385,6 +385,19 @@ def check_discriminant_consistency(count=800, seed=14):
         sq = max(1.0, abs(diag.q))
         worst = max(worst, abs(diag.p - p_ab) / sp, abs(diag.q - q_ab) / sq)
     return worst < 1e-8, f"worst relative gap {worst:.3g}"
+
+
+def high_rate_approx(lam: LagrangePair) -> ThetaPair:
+    """Flat high-rate noise pair tm = 1/(4 l1), tp = 1/(4 (l1 + l2)).
+
+    Needs lambda1 > 0: with a slack side constraint tm is unbounded.
+    """
+    if lam.lambda1 == 0.0:
+        raise ValueError("high-rate approximation needs lambda1 > 0")
+    return ThetaPair(
+        theta_plus=0.25 / (lam.lambda1 + lam.lambda2),
+        theta_minus=0.25 / lam.lambda1,
+    )
 
 
 def check_high_rate_limits():

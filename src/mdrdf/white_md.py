@@ -82,17 +82,6 @@ def ozarow_rate(sigma2: float, d: DistortionPair) -> float:
     return max(0.25 * math.log(ratio), 0.0)
 
 
-def ozarow_rate_hr(sigma2: float, d: DistortionPair) -> float:
-    """High-resolution rate (1/2) log( sigma2 / (2 sqrt(D_C (D_S - D_C))) )."""
-    ds, dc = d.d_side, d.d_central
-    tol = REGION_TOL * sigma2
-    if not (2.0 * dc <= ds + tol and ds <= sigma2 + tol and dc >= 2.0 * ds - sigma2 - tol):
-        raise DegenerateDistortion(f"({sigma2}, {d}) outside the high-resolution region")
-    if dc <= 0.0 or ds - dc <= 0.0:
-        return math.inf
-    return 0.5 * math.log(sigma2 / (2.0 * math.sqrt(dc * (ds - dc))))
-
-
 def _check_region(sigma2: float, t: ThetaPair) -> None:
     tol = REGION_TOL * max(1.0, sigma2)
     if not (t.theta_plus <= t.theta_minus + tol and t.theta_minus <= 0.5 * sigma2 + tol):
@@ -111,16 +100,6 @@ def theta_to_distortions(sigma2: float, t: ThetaPair) -> DistortionPair:
     d_side = t.theta_plus + t.theta_minus
     d_central = sigma2 * t.theta_plus / (sigma2 - t.theta_minus)
     return DistortionPair(d_side=d_side, d_central=min(d_central, d_side))
-
-
-def prepost_factors(sigma2: float, t: ThetaPair):
-    """Scalar pre/post factors (alpha_side, alpha_central) of the test channel."""
-    tol = REGION_TOL * max(1.0, sigma2)
-    if t.theta_plus + t.theta_minus > sigma2 + tol:
-        raise RegionViolation("theta_plus + theta_minus exceeds sigma2")
-    alpha_s = math.sqrt(max(sigma2 - t.theta_plus - t.theta_minus, 0.0) / sigma2)
-    alpha_c = alpha_s * sigma2 / (alpha_s * alpha_s * sigma2 + t.theta_plus)
-    return alpha_s, alpha_c
 
 
 def r0(sigma2: float, t: ThetaPair) -> float:

@@ -540,12 +540,13 @@ class TestInputErrors:
 
     @pytest.mark.parametrize(
         "tp_share, tm_share",
-        [(0.05, 0.9), (0.3, 0.2), (-0.01, 0.4)],
-        ids=["tm-above-half-source", "tp-above-tm", "negative-tp"],
+        [(0.05, 0.9), (0.3, 0.2), (-0.01, 0.4), (0.0, 0.4)],
+        ids=["tm-above-half-source", "tp-above-tm", "negative-tp", "zero-tp"],
     )
     def test_spectra_outside_triangle_exit_2(self, tp_share, tm_share, capsys, tmp_path, monkeypatch):
         # each pair keeps tp + tm <= S, so only the triangle
-        # 0 <= tp <= tm <= S/2 rejects it, before anything is simulated
+        # 0 < tp <= tm <= S/2 rejects it, before anything is simulated; a
+        # zero tp would make the rate infinite
         from mdrdf import sim
 
         def no_run(*args, **kwargs):
@@ -569,6 +570,30 @@ class TestInputErrors:
         )
         assert code == 2
         assert "theta_plus <= theta_minus <= source/2" in err
+
+    def test_table_not_covering_grid_exit_2(self, capsys, tmp_path):
+        # np.interp would hold the value at omega = 1 on every bin above it
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"omega": [0.0, 1.0], "value": [2.0, 1.0]}))
+        code, out, err = run_cli(
+            ["solve", "--spectrum", f"table:{path}", "--grid-size", "8",
+             "--lambda1", "1", "--lambda2", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "does not cover the grid" in err
+
+    def test_table_from_same_grid_omega_accepted(self, capsys, tmp_path):
+        # the omega column of a --csv table on the same grid reads back
+        # bit-exact, so it covers the grid's first and last frequencies
+        spectra_csv = tmp_path / "spectra.csv"
+        argv = ["solve", "--spectrum", "cosine", "--grid-size", "8", "--lambda1", "1", "--lambda2", "1"]
+        assert main([*argv, "--out", str(tmp_path / "pt.json"), "--csv", str(spectra_csv)]) == 0
+        table = np.loadtxt(spectra_csv, delimiter=",", skiprows=2, usecols=(0, 1))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"omega": table[:, 0].tolist(), "value": table[:, 1].tolist()}))
+        assert parse_spectrum_spec(f"table:{path}", 8).values.tolist() == table[:, 1].tolist()
 
     @pytest.mark.parametrize("grid_size", ["64", "95"])
     def test_simulate_grid_too_short_exit_2(self, grid_size, capsys):

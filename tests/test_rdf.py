@@ -13,7 +13,6 @@ from mdrdf import (
     evaluate,
     fit_lambdas,
     flat_spectrum,
-    high_rate_approx,
     ozarow_rate,
     r0,
     sweep,
@@ -23,6 +22,7 @@ from mdrdf import rdf
 from mdrdf.errors import TargetInfeasible
 from mdrdf.rdf import _analytic_seed, distortion_jacobian
 from mdrdf.spectral_solver import solve_spectrum
+from mdrdf.verify import high_rate_approx
 
 from conftest import ar1_spectrum, cosine_spectrum
 
@@ -219,6 +219,39 @@ class TestFit:
             pt = evaluate(cosine, lam)
             if pt.d_side <= target_ds + 1e-9 and pt.d_central <= target_dc + 1e-9:
                 assert pt.rate >= fitted.rate - 1e-6
+
+
+class TestMultipliersAreSlopes:
+    """R(D_S, D_C) is the concave dual's maximum, so grad R = -(lambda1, lambda2)."""
+
+    @staticmethod
+    def ozarow_gradient(sigma2, ds, dc):
+        return (
+            0.25 * (1.0 / (sigma2 - ds) - 1.0 / (ds - dc)),
+            0.25 * (1.0 / (ds - dc) - 1.0 / dc - 2.0 / (sigma2 - dc)),
+        )
+
+    @pytest.mark.parametrize("ds, dc", [(0.5, 0.3), (0.3, 0.1), (0.2, 0.05)])
+    def test_gradient_is_ozarows(self, ds, dc):
+        # central differences at h = 1e-6 carry a rounding error of about
+        # eps R / h = 3e-10 against slopes of order 0.3, and a truncation
+        # error of order h^2
+        def R(s, c):
+            return ozarow_rate(1.0, DistortionPair(s, c))
+
+        h = 1e-6
+        slopes = ((R(ds + h, dc) - R(ds - h, dc)) / (2 * h), (R(ds, dc + h) - R(ds, dc - h)) / (2 * h))
+        assert slopes == pytest.approx(self.ozarow_gradient(1.0, ds, dc), rel=1e-8)
+
+    @pytest.mark.parametrize("ds, dc", [(0.5, 0.3), (0.3, 0.1), (0.2, 0.05)])
+    def test_white_fit_multipliers(self, ds, dc):
+        # on a white source the fit's seed is the exact stationary point and
+        # it stops at a residual of FIT_RTOL = 1e-12 (measured: 1.1e-15)
+        pt = fit_lambdas(flat_spectrum(1.0, 4096), DistortionPair(ds, dc))
+        g1, g2 = self.ozarow_gradient(1.0, ds, dc)
+        assert pt.lambdas.lambda1 == pytest.approx(-g1, rel=1e-12)
+        assert pt.lambdas.lambda2 == pytest.approx(-g2, rel=1e-12)
+        assert pt.rate == pytest.approx(ozarow_rate(1.0, DistortionPair(ds, dc)), abs=1e-14)
 
 
 class TestDistortionJacobian:

@@ -8,8 +8,10 @@ from scipy import stats
 
 from mdrdf import (
     DistortionPair,
+    LagrangePair,
     Spectrum,
     entropy_power,
+    evaluate,
     fit_lambdas,
     flat_spectrum,
     midpoint_omega,
@@ -538,6 +540,73 @@ class TestMdCodec:
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(
             b.to_dict(), sort_keys=True
         )
+
+    @pytest.mark.parametrize(
+        "mode, erasure",
+        [("awgn", "none"), ("ecdq", "none"), ("ecdq", "lose_desc1"), ("awgn", "lose_desc2")],
+    )
+    def test_decoder_rebuilds_encoder_v(self, cosine, monkeypatch, mode, erasure):
+        # each kept description's V comes back from its own Y alone: the
+        # lost description's Y is replaced by NaN before decoding
+        checked = []
+        real = sim._decode_descriptions
+
+        def spy(a, v_up, y_up):
+            y_kept = y_up.copy()
+            for k in (0, 1):
+                if erasure == f"lose_desc{k + 1}":
+                    y_kept[k::2] = np.nan
+            rebuilt = real(a, v_up, y_kept)
+            for k in (0, 1):
+                if erasure != f"lose_desc{k + 1}":
+                    err = np.max(np.abs(rebuilt[k::2] - v_up[k::2]))
+                    checked.append(err / np.max(np.abs(v_up[k::2])))
+            return real(a, v_up, y_up)
+
+        monkeypatch.setattr(sim, "_decode_descriptions", spy)
+        cfg = SimConfig(num_samples=1 << 16, seed=25, mode=mode, erasure=erasure)
+        run_md_codec(cosine, anchor_point(cosine).spectra, cfg)
+        assert len(checked) == (2 if erasure == "none" else 1)
+        assert max(checked) <= 1e-12
+
+
+class TestAnalyticRate:
+    """The simulators report the spectral rate of `evaluate`, which the
+    paper identifies with the entropy-power rate of the interleaved mask."""
+
+    LAMBDAS = [(0.01, 0.01), (0.238, 2.7), (0.05, 0.5), (2.0, 20.0)]
+
+    @pytest.mark.parametrize("source", ["cosine", "ar1"])
+    @pytest.mark.parametrize("lambdas", LAMBDAS, ids=["all-corner", "example", "low", "high"])
+    def test_rate_is_entropy_power_ratio(self, source, lambdas, request):
+        # (0.01, 0.01) puts every bin at the zero-rate corner tp = tm = S/2.
+        # Both sides are means of 4096 logarithms, each rounded to an ulp,
+        # so they agree to a few ulps of rates below 2 nats
+        spectrum = request.getfixturevalue(source)
+        point = evaluate(spectrum, LagrangePair(*lambdas))
+        mask = interleave_theta(point.spectra)
+        want = 0.5 * math.log(entropy_power(spectrum) / entropy_power(mask))
+        assert point.rate == pytest.approx(want, rel=0, abs=1e-14)
+
+    def test_md_channel_reports_evaluates_rate(self, ar1):
+        point = evaluate(ar1, LagrangePair(0.05, 0.5))
+        report = run_md_channel(ar1, point.spectra, SimConfig(num_samples=1 << 16, seed=26))
+        assert report.rate_analytical == point.rate
+
+    def test_sd_channel_reports_edge_rate(self, ar1):
+        # on the lambda2 = 0 edge the solver puts tp = tm = 1/(4 lambda1) =
+        # 0.05 wherever S/2 exceeds it, which is every AR(1) bin: the mask
+        # D = 2 tp is the flat 0.1 up to the solver's rounding
+        point = evaluate(ar1, LagrangePair(5.0, 0.0))
+        tp, tm = point.spectra.theta_plus, point.spectra.theta_minus
+        dev = float(np.max(np.abs(np.log(2.0 * np.sqrt(tp * tm) / 0.1))))
+        assert dev <= 1e-14
+        cfg = SimConfig(num_samples=1 << 16, seed=27)
+        report = run_sd_mask_channel(ar1, flat_spectrum(0.1, ar1.grid_size), cfg)
+        # per bin the two rates differ by at most dev / 2, and each mean
+        # adds a rounding error of a few ulps of the rate
+        bound = 0.5 * dev + 8.0 * np.finfo(float).eps * point.rate
+        assert abs(report.rate_analytical - point.rate) <= bound
 
 
 class TestSimConfig:

@@ -7,14 +7,15 @@ from scipy import optimize
 from mdrdf import (
     DistortionPair,
     ThetaPair,
+    flat_spectrum,
     is_nondegenerate,
     ozarow_rate,
-    ozarow_rate_hr,
-    prepost_factors,
     r0,
     theta_to_distortions,
 )
 from mdrdf.errors import DegenerateDistortion, RegionViolation, ZeroNoise
+from mdrdf.filters import pre_post_filters
+from mdrdf.rdf import NoiseSpectra
 
 
 def min_rate_over_triangle(sigma2, ds, dc, grid=100_000):
@@ -84,27 +85,6 @@ class TestOzarowRate:
             assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
 
 
-class TestOzarowRateHighResolution:
-    def test_reference_point(self):
-        got = ozarow_rate_hr(1.0, DistortionPair(0.1, 0.05))
-        assert got == pytest.approx(0.5 * math.log(10.0), rel=1e-12)
-        assert got == pytest.approx(1.1513, abs=1e-4)
-
-    def test_collapses_at_ds_twice_dc(self):
-        ds = 0.2
-        got = ozarow_rate_hr(1.0, DistortionPair(ds, ds / 2))
-        assert got == pytest.approx(0.5 * math.log(1.0 / ds), rel=1e-12)
-
-    def test_close_to_exact_at_high_resolution(self):
-        for sigma2 in (1.0, 4.0):
-            for scale in (100.0, 400.0):
-                ds = sigma2 / scale
-                dc = 0.4 * ds
-                exact = ozarow_rate(sigma2, DistortionPair(ds, dc))
-                hr = ozarow_rate_hr(sigma2, DistortionPair(ds, dc))
-                assert hr == pytest.approx(exact, rel=0.01)
-
-
 class TestNondegeneracy:
     @pytest.mark.parametrize(
         "sigma2,ds,dc,want",
@@ -155,6 +135,15 @@ class TestThetaParametrization:
             tp = rng.uniform(0, tm)
             d = theta_to_distortions(sigma2, ThetaPair(tp, tm))
             assert d.d_central == pytest.approx(tp, rel=2e-3)
+
+
+def prepost_factors(sigma2, t):
+    """Scalar pre/post factors (alpha_side, alpha_central) of the test
+    channel: F and G of a one-bin flat spectrum."""
+    one = np.ones(1)
+    noise = NoiseSpectra(t.theta_plus * one, t.theta_minus * one, np.zeros(1, dtype=bool))
+    pp = pre_post_filters(flat_spectrum(sigma2, 1), noise)
+    return float(pp.f_mag[0]), float(pp.g_mag[0])
 
 
 class TestPrePostFactors:
