@@ -217,7 +217,8 @@ def _load_spectra_csv(path: str) -> tuple[Spectrum, NoiseSpectra]:
     if not len(table):
         raise ConfigError(f"no spectra rows in {path}")
     S, tp, tm, *on_boundary = np.ascontiguousarray(table.T)
-    slack = 1e-12 * np.maximum(S, 1.0)
+    # relative to the source, so a bin with S = 0 admits no positive theta_plus
+    slack = 1e-12 * S
     outside = ~((tp > 0) & (tp <= tm + slack) & (tm <= 0.5 * S + slack))
     if np.any(outside):
         raise ConfigError(

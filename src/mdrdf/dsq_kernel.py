@@ -7,8 +7,12 @@ library with the system C compiler `cc` in `$XDG_CACHE_HOME/mdrdf`
 compiler flags; later processes load the cached library without
 compiling. The flags keep IEEE semantics (no fast-math, no fused
 multiply-add, no host-specific code), so the loop rounds exactly as the
-reference loop does; only sums, taken in lag order, may differ from
-`np.dot` and `scipy.signal.lfilter` in the last bits. Without a compiler,
+reference loop does, except in its lag sums. Each sum over the predictor's
+or the shaper's lags is taken in four partial sums, of the lags j with
+j mod 4 = 0, 1, 2, 3 in lag order, combined as (s0 + s1) + (s2 + s3), so
+that each sample waits on a quarter of the dependent adds; the order is
+fixed, so results are deterministic, but may differ from `np.dot` and
+`scipy.signal.lfilter` in the last bits. Without a compiler,
 or when the build or the load fails, `load` warns once and returns None.
 """
 
@@ -33,16 +37,31 @@ SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 
+/* sum_j c[j] x[last - j*stride] for j < len, in four partial sums over
+   j mod 4, combined as (s0 + s1) + (s2 + s3): four independent chains of
+   adds instead of one */
+static double lagdot(const double *c, const double *x, long last, long len, long stride)
+{
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    long j = 0;
+    for (; j + 4 <= len; j += 4) {
+        s0 += c[j] * x[last - j * stride];
+        s1 += c[j + 1] * x[last - (j + 1) * stride];
+        s2 += c[j + 2] * x[last - (j + 2) * stride];
+        s3 += c[j + 3] * x[last - (j + 3) * stride];
+    }
+    for (; j < len; j++)
+        s0 += c[j] * x[last - j * stride];
+    return (s0 + s1) + (s2 + s3);
+}
+
 void dsq_loop(const double *u, const double *a, long P, const double *q, long L,
               long stride, const double *dither, double step, long n,
               double *V, double *Y, double *G, int64_t *idx)
 {
     for (long m = 0; m < n; m++) {
-        double b = 0.0, et = 0.0;
-        for (long j = 0; j < P && m - (j + 1) * stride >= 0; j++)
-            b += a[j] * V[m - (j + 1) * stride];
-        for (long k = 0; k < L && m - 1 - k >= 0; k++)
-            et += q[k] * G[m - 1 - k];
+        double b = lagdot(a, V, m - stride, m / stride < P ? m / stride : P, stride);
+        double et = lagdot(q, G, m - 1, m < L ? m : L, 1);
         double d = u[m] - b + et;
         double k = floor((d + dither[m]) / step + 0.5);
         double y = k * step - dither[m];
@@ -55,12 +74,8 @@ void dsq_loop(const double *u, const double *a, long P, const double *q, long L,
 
 void allpole(const double *x, const double *a, long P, long n, double *y)
 {
-    for (long m = 0; m < n; m++) {
-        double s = x[m];
-        for (long j = 0; j < P && m - 1 - j >= 0; j++)
-            s += a[j] * y[m - 1 - j];
-        y[m] = s;
-    }
+    for (long m = 0; m < n; m++)
+        y[m] = x[m] + lagdot(a, y, m - 1, m < P ? m : P, 1);
 }
 """
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")

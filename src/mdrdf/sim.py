@@ -16,7 +16,10 @@ predictor Q. Only ecdq mode runs the sequential loop, because the
 quantizer makes it nonlinear. In awgn mode the loop algebra collapses to
 V = U + Z/(1 - Q) and Y = (1 - A) V. The pre and post filters F and G,
 the interpolator and the central decoder are zero phase and applied
-exactly on the FFT grid of the signal they filter.
+exactly on the FFT grid, composed so that each signal is transformed
+once: one rfft of the source feeds the encoder's input and the side
+paths' reference, and one rfft of the upsampled V feeds every decoder,
+the side paths through the polyphase identity.
 
 In both modes the ecdq loop and the all-pole filters 1/(1 - A) (source
 synthesis, awgn noise shaping, codec decoding) run as one compiled C
@@ -190,12 +193,10 @@ def _allpole(x: NDArray[np.float64], a: NDArray[np.float64]) -> NDArray[np.float
     return signal.lfilter([1.0], np.r_[1.0, -a], x)
 
 
-def _zero_phase(x: NDArray[np.float64], mag: NDArray[np.float64], omega) -> NDArray[np.float64]:
-    """Apply a zero-phase filter given its magnitude on the midpoint grid."""
-    X = np.fft.rfft(x)
-    w = np.linspace(0.0, np.pi, X.size)
-    m = np.interp(w, omega, mag, left=mag[0], right=mag[-1])
-    return np.fft.irfft(X * m, x.size)
+def _on_fft_grid(mag: NDArray[np.float64], omega, n: int) -> NDArray[np.float64]:
+    """A zero-phase filter given by its magnitude on the midpoint grid, on
+    the rfft bins of n samples, taken as linspace(0, pi, n // 2 + 1)."""
+    return np.interp(np.linspace(0.0, np.pi, n // 2 + 1), omega, mag, left=mag[0], right=mag[-1])
 
 
 def _dsq_loop(u, a, q, stride: int, dither, step: float):
@@ -254,60 +255,65 @@ def _shaper_for_mask(mask: Spectrum) -> PredictorCoeffs:
     return noise_shaper(Spectrum(np.maximum(mask.values, MASK_FLOOR)), SHAPER_ORDER)
 
 
-def _interpolate(x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Upsample x by two through the ideal zero-phase half-band filter: the
-    spectrum of x moves onto [-pi/2, pi/2] and nothing lands above it. The
-    Nyquist bin of an even-length x is split between +pi/2 and -pi/2. The
-    even outputs are x."""
-    X = np.fft.rfft(x)
-    if x.size % 2 == 0:
-        X[-1] *= 0.5
-    return 2.0 * np.fft.irfft(X, 2 * x.size)
-
-
-def _decode_central(v_up: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The central decoder: low-pass the upsampled V to |omega| <= pi/2, the
-    interpolator's band, and keep the even samples, where the bins at +pi/2
-    and -pi/2 fold onto one Nyquist bin (even n). Undoes `_interpolate`."""
-    n = v_up.size // 2
-    V = np.fft.rfft(v_up)[: n // 2 + 1]
+def _interpolate(X: NDArray[np.complex128], n: int) -> NDArray[np.float64]:
+    """Upsample by two, through the ideal zero-phase half-band filter, the n
+    samples whose rfft is X: their spectrum moves onto [-pi/2, pi/2] and
+    nothing lands above it. The Nyquist bin of an even n is split between
+    +pi/2 and -pi/2. The even outputs are the n samples."""
     if n % 2 == 0:
-        V[-1] *= 2.0
-    return 0.5 * np.fft.irfft(V, n)
+        X = np.concatenate((X[:-1], 0.5 * X[-1:]))
+    return 2.0 * np.fft.irfft(X, 2 * n)
 
 
-def _encode(source: Spectrum, mask: Spectrum, f_mag: NDArray[np.float64], stride: int,
+def _decoder_spectra(V: NDArray[np.complex128], n: int):
+    """The rffts of the decoders' n-sample inputs, from the rfft V of the
+    upsampled 2n samples: the even and the odd samples, by the polyphase
+    identity V[j] = E[j] + exp(-i pi j / n) O[j] and V[n - j] = conj(E[j] -
+    exp(-i pi j / n) O[j]); and the central decoder's output, the low half
+    |omega| <= pi/2 kept at the even samples, where the bins at +pi/2 and
+    -pi/2 fold onto one Nyquist bin (even n). The central output undoes
+    `_interpolate`. Returns (even, odd, central)."""
+    j = np.arange(n // 2 + 1)
+    low, mirror = V[: n // 2 + 1], np.conj(V[n - j])
+    central = 0.5 * low
+    if n % 2 == 0:
+        central[-1] *= 2.0
+    return 0.5 * (low + mirror), 0.5 * (low - mirror) * np.exp(1j * np.pi * j / n), central
+
+
+def _encode(source: Spectrum, mask: Spectrum, F: NDArray[np.float64], stride: int,
             cfg: SimConfig):
     """The encoder of all three structures.
 
-    Synthesizes the source x, applies the pre filter F and, at stride 2,
-    interpolates to the upsampled rate of the two interleaved descriptions.
+    Synthesizes the source x and, from its one rfft X, applies the pre
+    filter F (on the rfft grid) and, at stride 2, interpolates to the
+    upsampled rate of the two interleaved descriptions.
     The loop then predicts from the reconstructions `stride`, 2 `stride`,
     ... samples back and injects noise shaped by the mask predictor:
     vectorized in awgn mode, the sequential loop in ecdq mode. One seed
     fixes every stream: [seed, 1] the source, [seed, 2] the awgn noise and
     the stride-1 dither, [seed, 3] and [seed, 4] the dithers of the even
-    and the odd samples at stride 2. Returns (x, a, shaper, V, Y, indices),
-    with indices None in awgn mode.
+    and the odd samples at stride 2. Returns (x, X, a, shaper, V, Y,
+    indices), with indices None in awgn mode.
     """
-    x, a = _synth_source(source, np.random.default_rng([cfg.seed, 1]), cfg.num_samples)
+    n = cfg.num_samples
+    x, a = _synth_source(source, np.random.default_rng([cfg.seed, 1]), n)
+    X = np.fft.rfft(x)
     shaper = _shaper_for_mask(mask)
-    u = _zero_phase(x, f_mag, source.omega)
-    if stride == 2:
-        u = _interpolate(u)
+    u = np.fft.irfft(X * F, n) if stride == 1 else _interpolate(X * F, n)
     m = u.size
     if cfg.mode == "awgn":
         rng = np.random.default_rng([cfg.seed, 2])
         z = rng.standard_normal(m) * math.sqrt(shaper.innovation_variance)
         v = u + _allpole(z, shaper.coeffs)
-        return x, a, shaper, v, _apply_predictor_error(v, a, stride), None
+        return x, X, a, shaper, v, _apply_predictor_error(v, a, stride), None
     step = math.sqrt(12.0 * shaper.innovation_variance)
     dither = np.empty(m)
     for k, stream in enumerate((2,) if stride == 1 else (3, 4)):
         state = QuantizerState(step=step, rng=np.random.default_rng([cfg.seed, stream]))
         dither[k::stride] = state.draw_dither(m // stride)
     v, y, indices = _ecdq_loop(u, a, shaper.coeffs, stride=stride, dither=dither, step=step)
-    return x, a, shaper, v, y, indices
+    return x, X, a, shaper, v, y, indices
 
 
 def run_sd_mask_channel(source: Spectrum, mask: Spectrum, cfg: SimConfig) -> SimReport:
@@ -321,11 +327,11 @@ def run_sd_mask_channel(source: Spectrum, mask: Spectrum, cfg: SimConfig) -> Sim
     R(D) (see `fit_lambdas`).
     """
     n = cfg.num_samples
-    f_mag = sd_prefilter(source, mask)
+    F = _on_fft_grid(sd_prefilter(source, mask), source.omega, n)
     D = mask.values
     edge = NoiseSpectra(D / 2, D / 2, D >= source.values)
-    x, _, shaper, v, y, indices = _encode(source, mask, f_mag, 1, cfg)
-    xhat = _zero_phase(v, f_mag, source.omega)
+    x, _, _, shaper, v, y, indices = _encode(source, mask, F, 1, cfg)
+    xhat = np.fft.irfft(np.fft.rfft(v) * F, n)
 
     # one measured window for the distortion, the PSDs and the rate
     sl = slice(WARMUP, n - WARMUP)
@@ -350,20 +356,21 @@ def _run_md(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig, decode) -> Si
     measure the side paths of the kept descriptions and, if both are kept,
     the central path."""
     n = cfg.num_samples
-    om = source.omega
     pp = pre_post_filters(source, noise)
-    x, a, shaper, v_up, y_up, indices = _encode(source, interleave_theta(noise), pp.f_mag, 2, cfg)
+    F, G = (_on_fft_grid(mag, source.omega, n) for mag in (pp.f_mag, pp.g_mag))
+    x, X, a, shaper, v_up, y_up, indices = _encode(source, interleave_theta(noise), F, 2, cfg)
     v_up = decode(a, v_up, y_up)
-    ref = _interpolate(x)
+    ref = _interpolate(X, n)
+    *phases, central = _decoder_spectra(np.fft.rfft(v_up), n)
 
     kept = [k for k in (0, 1) if cfg.erasure != f"lose_desc{k + 1}"]
-    xh = {k: _zero_phase(v_up[k::2], pp.f_mag, om) for k in kept}
+    xh = {k: np.fft.irfft(phases[k] * F, n) for k in kept}
     err = {k: (xh[k] - ref[k::2])[WARMUP : n - WARMUP] for k in kept}
     d_side = [float(np.mean(err[k] * err[k])) if k in err else None for k in (0, 1)]
 
     dc = errc = None
     if len(kept) == 2:
-        errc = (_zero_phase(_decode_central(v_up), pp.g_mag, om) - x)[WARMUP : n - WARMUP]
+        errc = (np.fft.irfft(central * G, n) - x)[WARMUP : n - WARMUP]
         dc = float(np.mean(errc * errc))
 
     # the first kept description gives the description process and the side PSD

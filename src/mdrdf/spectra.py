@@ -112,17 +112,19 @@ def entropy_power(spectrum: Spectrum) -> float:
 
 
 def autocorrelation(spectrum: Spectrum, lags: int) -> NDArray[np.float64]:
-    """Autocorrelation r[0..lags] by direct cosine sums on the grid.
+    """Autocorrelation r[0..lags] of the spectrum on the grid.
 
-    r[m] = (1/N) sum_k S_k cos(m omega_k); r[0] is the variance.
+    r[m] = (1/N) sum_k S_k cos(m omega_k); r[0] is the variance. On the
+    midpoint grid this is a DCT-II of S, taken as one 2N-point rfft whose
+    bin m is turned by the half-bin phase exp(-i m pi / 2N).
     """
     if lags < 0:
         raise ValueError("lags must be nonnegative")
-    if lags > spectrum.grid_size // 2:
-        raise LagTooLarge(f"lags={lags} exceeds N/2={spectrum.grid_size // 2}")
-    om = spectrum.omega
-    m = np.arange(lags + 1)
-    return np.cos(np.outer(m, om)) @ spectrum.values / spectrum.grid_size
+    n = spectrum.grid_size
+    if lags > n // 2:
+        raise LagTooLarge(f"lags={lags} exceeds N/2={n // 2}")
+    turn = np.exp(-0.5j * np.pi * np.arange(lags + 1) / n)
+    return (np.fft.rfft(spectrum.values, 2 * n)[: lags + 1] * turn).real / n
 
 
 def _levinson(r: NDArray[np.float64], order: int):

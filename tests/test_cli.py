@@ -407,7 +407,8 @@ class TestSimulateCommand:
 
     def test_readme_round_trip(self, capsys, tmp_path):
         # the worked example's zero-rate bins must read back inside the
-        # triangle, or simulate rejects the CSV with exit 3
+        # triangle, or simulate rejects the CSV with exit 2; they sit
+        # exactly on its corner tp = tm = S/2, where the slack is not needed
         spectra_csv = tmp_path / "spectra.csv"
         code, _, _ = run_cli(
             [
@@ -421,6 +422,9 @@ class TestSimulateCommand:
             capsys,
         )
         assert code == 0
+        S, tp, tm = np.loadtxt(spectra_csv, delimiter=",", skiprows=2, usecols=(1, 2, 3)).T
+        corner = (tp == tm) & (tp + tm == S)
+        assert np.count_nonzero(corner) > 0 and np.all(tm <= 0.5 * S)
         code, _, err = run_cli(
             [
                 "simulate",
@@ -570,6 +574,19 @@ class TestInputErrors:
         )
         assert code == 2
         assert "theta_plus <= theta_minus <= source/2" in err
+
+    def test_zero_source_row_exit_2(self, capsys, tmp_path):
+        # an absolute slack of 1e-12 admitted theta_plus = 1e-13 on a
+        # source = 0 row, whose rate density is -inf
+        spectra_csv = tmp_path / "spectra.csv"
+        rows = ["source,theta_plus,theta_minus"] + ["1,0.1,0.2"] * 200 + ["0,1e-13,1e-13"]
+        spectra_csv.write_text("\r\n".join(rows) + "\r\n")
+        code, out, err = run_cli(
+            ["simulate", "--spectra", str(spectra_csv), "--samples", "65536"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "data row 201 is outside 0 < theta_plus" in err
 
     def test_table_not_covering_grid_exit_2(self, capsys, tmp_path):
         # np.interp would hold the value at omega = 1 on every bin above it

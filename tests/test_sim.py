@@ -25,7 +25,7 @@ from mdrdf.sim import (
     QuantizerState,
     SimConfig,
     _apply_predictor_error,
-    _decode_central,
+    _decoder_spectra,
     _dsq_loop,
     _interpolate,
     run_md_channel,
@@ -221,6 +221,30 @@ class TestCompiledLoop:
         assert (args[1].size > 0, args[2].size > 0) == has_taps
         assert_matches_reference(got, _dsq_loop(*args, **kwargs))
 
+    @staticmethod
+    def stable_taps(order, rng):
+        """Minimum-phase taps of the given order, from a random positive spectrum."""
+        return optimal_predictor(Spectrum(rng.uniform(0.2, 5.0, 256)), order).coeffs
+
+    @needs_cc
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 3, 5, 33, 97])
+    def test_partial_sum_remainders(self, order, stride):
+        # orders that leave 1-3 lags after the kernel's four partial sums,
+        # from sample 0 on: below order * stride fewer lags exist than taps
+        rng = np.random.default_rng(100 * order + stride)
+        a, q = self.stable_taps(order, rng), self.stable_taps(order, rng)
+        n = 2048
+        args = (3.0 * rng.standard_normal(n), a, q, stride, rng.uniform(-0.25, 0.25, n), 0.5)
+        assert_matches_reference(sim.dsq_kernel.load().dsq_loop(*args), _dsq_loop(*args))
+
+    @needs_cc
+    @pytest.mark.parametrize("order", [1, 3, 5, 33, 97])
+    def test_allpole_partial_sum_remainders(self, order):
+        rng = np.random.default_rng(order)
+        a, x = self.stable_taps(order, rng), rng.standard_normal(2048)
+        assert_allpole_matches_lfilter(sim.dsq_kernel.load().allpole(x, a), x, a)
+
     def test_fallback_without_compiler(self, tmp_path, ar1, monkeypatch, fresh_kernel):
         # ecdq on a white source, which needs no all-pole filter, so the
         # indices are exact; awgn on AR(1), where the synthesis, the shaper
@@ -320,6 +344,15 @@ class TestScipyEquivalence:
         assert_allpole_matches_lfilter(sim.dsq_kernel.load().allpole(x, a), x, a)
 
 
+def interpolate(x):
+    return _interpolate(np.fft.rfft(x), x.size)
+
+
+def decode_central(v_up):
+    n = v_up.size // 2
+    return np.fft.irfft(_decoder_spectra(np.fft.rfft(v_up), n)[2], n)
+
+
 class TestIdealHalfband:
     """The ideal zero-phase interpolator and central decoder, at an even
     length (with a Nyquist bin) and an odd one (without)."""
@@ -327,19 +360,19 @@ class TestIdealHalfband:
     @pytest.mark.parametrize("n", [5000, 5001])
     def test_even_outputs_are_input(self, n):
         x = np.random.default_rng(41).standard_normal(n)
-        assert np.max(np.abs(_interpolate(x)[0::2] - x)) <= 1e-13 * np.max(np.abs(x))
+        assert np.max(np.abs(interpolate(x)[0::2] - x)) <= 1e-13 * np.max(np.abs(x))
 
     @pytest.mark.parametrize("n", [5000, 5001])
     def test_interpolation_is_band_limited(self, n):
         x = np.random.default_rng(42).standard_normal(n)
-        spec = np.abs(np.fft.rfft(_interpolate(x)))
+        spec = np.abs(np.fft.rfft(interpolate(x)))
         # bins above n/2 of the 2n-point spectrum lie above pi/2
         assert np.max(spec[n // 2 + 1 :]) <= 1e-13 * np.max(spec)
 
     @pytest.mark.parametrize("n", [5000, 5001])
     def test_decoder_undoes_interpolation(self, n):
         x = np.random.default_rng(43).standard_normal(n)
-        assert np.max(np.abs(_decode_central(_interpolate(x)) - x)) <= 1e-13 * np.max(np.abs(x))
+        assert np.max(np.abs(decode_central(interpolate(x)) - x)) <= 1e-13 * np.max(np.abs(x))
 
     @pytest.mark.parametrize("n", [5000, 5001])
     def test_decoder_is_lowpass_at_even_samples(self, n):
@@ -347,9 +380,59 @@ class TestIdealHalfband:
         spec = np.fft.rfft(v_up)
         spec[n // 2 + 1 :] = 0.0  # keep 0 <= omega <= pi/2 of the 2n-point grid
         want = np.fft.irfft(spec, 2 * n)[0::2]
-        got = _decode_central(v_up)
+        got = decode_central(v_up)
         assert got.shape == (n,)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(v_up))
+
+
+class TestComposedFilters:
+    """Each composed spectral path against the chain of separate transforms
+    it replaces: a zero-phase filter as its own rfft and irfft, the
+    interpolator as its own rfft, and the central decoder as its own
+    rfft of the upsampled signal, at an even and an odd length."""
+
+    @staticmethod
+    def zero_phase(x, mag):
+        return np.fft.irfft(np.fft.rfft(x) * mag, x.size)
+
+    @staticmethod
+    def old_interpolate(x):
+        X = np.fft.rfft(x)
+        if x.size % 2 == 0:
+            X[-1] *= 0.5
+        return 2.0 * np.fft.irfft(X, 2 * x.size)
+
+    @staticmethod
+    def old_decode_central(v_up):
+        n = v_up.size // 2
+        V = np.fft.rfft(v_up)[: n // 2 + 1]
+        if n % 2 == 0:
+            V[-1] *= 2.0
+        return 0.5 * np.fft.irfft(V, n)
+
+    @staticmethod
+    def assert_close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [5000, 5001])
+    def test_encoder_paths(self, n):
+        rng = np.random.default_rng(45)
+        x, F = rng.standard_normal(n), rng.uniform(0.1, 2.0, n // 2 + 1)
+        X = np.fft.rfft(x)
+        self.assert_close(_interpolate(X * F, n), self.old_interpolate(self.zero_phase(x, F)))
+        self.assert_close(_interpolate(X, n), self.old_interpolate(x))
+
+    @pytest.mark.parametrize("n", [5000, 5001])
+    def test_decoder_paths(self, n):
+        rng = np.random.default_rng(46)
+        v_up = rng.standard_normal(2 * n)
+        F, G = rng.uniform(0.1, 2.0, (2, n // 2 + 1))
+        even, odd, central = _decoder_spectra(np.fft.rfft(v_up), n)
+        self.assert_close(np.fft.irfft(even * F, n), self.zero_phase(v_up[0::2], F))
+        self.assert_close(np.fft.irfft(odd * F, n), self.zero_phase(v_up[1::2], F))
+        self.assert_close(np.fft.irfft(central * G, n),
+                          self.zero_phase(self.old_decode_central(v_up), G))
 
 
 class TestSeedContract:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from mdrdf import (
@@ -73,6 +75,25 @@ class TestAutocorrelation:
     def test_lag_guard(self):
         with pytest.raises(LagTooLarge):
             autocorrelation(flat_spectrum(1.0, 64), 33)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        n=st.integers(2, 4096),
+        lag_share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=4095, lag_share=1.0, seed=0)  # odd N at the largest lag
+    @example(n=3, lag_share=1.0, seed=1)
+    @example(n=2, lag_share=1.0, seed=2)
+    def test_fft_matches_cosine_sums(self, n, lag_share, seed):
+        # the oracle is the direct cosine sum the one-FFT form replaces
+        values = np.random.default_rng(seed).uniform(0.01, 10.0, n)
+        lags = int(lag_share * (n // 2))
+        om = (np.arange(n) + 0.5) * np.pi / n
+        want = np.cos(np.outer(np.arange(lags + 1), om)) @ values / n
+        got = autocorrelation(Spectrum(values), lags)
+        assert got.shape == (lags + 1,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
 
 
 class TestOptimalPredictor:
