@@ -1,5 +1,5 @@
 """`sim`'s sequential filters in C, loaded with ctypes: `dsq_loop`, the ecdq
-loop of `sim._dsq_loop`, and `allpole`, y[m] = x[m] + sum_j a_j y[m-1-j].
+loop of `sim._dsq_loop`, and `allpole`, y[m] = x[m] + sum_j a_j y[m-(1+j)s].
 
 The first simulation in a process, in either mode, builds both into one
 library with the system C compiler `cc` in `$XDG_CACHE_HOME/mdrdf`
@@ -72,10 +72,10 @@ void dsq_loop(const double *u, const double *a, long P, const double *q, long L,
     }
 }
 
-void allpole(const double *x, const double *a, long P, long n, double *y)
+void allpole(const double *x, const double *a, long P, long stride, long n, double *y)
 {
     for (long m = 0; m < n; m++)
-        y[m] = x[m] + lagdot(a, y, m - 1, m < P ? m : P, 1);
+        y[m] = x[m] + lagdot(a, y, m - stride, m < P * stride ? m / stride : P, stride);
 }
 """
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -106,7 +106,8 @@ def _library() -> Path:
 @functools.cache
 def load():
     """The compiled kernel, or None: `dsq_loop` with `sim._dsq_loop`'s
-    signature and results, and `allpole(x, a)`, x filtered by 1/(1 - A)."""
+    signature and results, and `allpole(x, a, stride=1)`, each phase
+    x[k::stride] filtered by 1/(1 - A) in one pass."""
     try:
         lib = ctypes.CDLL(str(_library()))
     except (OSError, subprocess.SubprocessError) as exc:
@@ -119,7 +120,7 @@ def load():
     c_long = ctypes.c_long
     lib.dsq_loop.argtypes = [f64, f64, c_long, f64, c_long, c_long, f64, ctypes.c_double,
                              c_long, out, out, out, i64]
-    lib.allpole.argtypes = [f64, f64, c_long, c_long, out]
+    lib.allpole.argtypes = [f64, f64, c_long, c_long, c_long, out]
     lib.dsq_loop.restype = lib.allpole.restype = None
 
     def dsq_loop(u, a, q, stride, dither, step):
@@ -132,10 +133,12 @@ def load():
         lib.dsq_loop(u, a, a.size, q, q.size, stride, dither, step, n, V, Y, G, idx)
         return V, Y, idx
 
-    def allpole(x, a):
+    def allpole(x, a, stride=1):
         x, a = (np.ascontiguousarray(v, dtype=np.float64) for v in (x, a))
+        if stride < 1:
+            raise ValueError("stride must be >= 1")
         y = np.empty(x.size)
-        lib.allpole(x, a, a.size, x.size, y)
+        lib.allpole(x, a, a.size, stride, x.size, y)
         return y
 
     return SimpleNamespace(dsq_loop=dsq_loop, allpole=allpole)

@@ -174,8 +174,10 @@ def fit_lambdas(spectrum: Spectrum, target: DistortionPair, tol: float = 1e-6) -
     the average power, or from the edge multipliers (1/(4 w), 1/(8 v))
     where that inversion has no positive solution, and iterates until
     the residual is at rounding level. NoConvergence is raised if it
-    ends with a residual above tol.
+    ends with a residual above tol, which must be positive and finite.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     sigma2 = spectrum.variance
     ds, dc = target.d_side, target.d_central
     if not (0.0 < dc <= ds):

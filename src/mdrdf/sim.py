@@ -16,10 +16,10 @@ predictor Q. Only ecdq mode runs the sequential loop, because the
 quantizer makes it nonlinear. In awgn mode the loop algebra collapses to
 V = U + Z/(1 - Q) and Y = (1 - A) V. The pre and post filters F and G,
 the interpolator and the central decoder are zero phase and applied
-exactly on the FFT grid, composed so that each signal is transformed
-once: one rfft of the source feeds the encoder's input and the side
-paths' reference, and one rfft of the upsampled V feeds every decoder,
-the side paths through the polyphase identity.
+exactly on the FFT grid, so that each signal is transformed once: one
+rfft of the source feeds the encoder's input and every reference, one
+rfft of the upsampled V every decoder, and each decoder path's error is
+one irfft of its filter times its decoded spectrum less its reference.
 
 In both modes the ecdq loop and the all-pole filters 1/(1 - A) (source
 synthesis, awgn noise shaping, codec decoding) run as one compiled C
@@ -44,7 +44,7 @@ from . import dsq_kernel
 from .errors import SignalTooShort
 from .filters import interleave_theta, noise_shaper, pre_post_filters, sd_prefilter
 from .rdf import NoiseSpectra, densities
-from .spectra import PredictorCoeffs, Spectrum, midpoint_omega, optimal_predictor
+from .spectra import Spectrum, midpoint_omega, optimal_predictor
 
 MODES = ("awgn", "ecdq")
 ERASURES = ("none", "lose_desc1", "lose_desc2")
@@ -170,33 +170,32 @@ def welch_psd(x: NDArray[np.float64], segment: int) -> Spectrum:
     return Spectrum(np.interp(midpoint_omega(segment // 2), freqs, pxx))
 
 
-def _trim_taps(coeffs: NDArray[np.float64], tol: float = 1e-14) -> NDArray[np.float64]:
-    nz = np.nonzero(np.abs(coeffs) > tol)[0]
-    return coeffs[: nz[-1] + 1] if nz.size else np.zeros(0)
-
-
 def _synth_source(spectrum: Spectrum, rng: np.random.Generator, n: int):
     """AR(PREDICTOR_ORDER) realization of the spectrum, and its predictor taps."""
     pred = optimal_predictor(spectrum, PREDICTOR_ORDER)
-    a = _trim_taps(pred.coeffs)
+    nz = np.nonzero(np.abs(pred.coeffs) > 1e-14)[0]  # trailing taps at rounding level
+    a = pred.coeffs[: nz[-1] + 1] if nz.size else np.zeros(0)
     innov = rng.standard_normal(n) * math.sqrt(pred.innovation_variance)
     return _allpole(innov, a), a
 
 
-def _allpole(x: NDArray[np.float64], a: NDArray[np.float64]) -> NDArray[np.float64]:
-    """1/(1 - A(z)) applied to x: y[m] = x[m] + sum_j a_j y[m-1-j]."""
+def _allpole(x: NDArray[np.float64], a: NDArray[np.float64], stride: int = 1):
+    """1/(1 - A(z^stride)) applied to x, each phase x[k::stride] on its own."""
     kernel = dsq_kernel.load()
     if kernel is not None:
-        return kernel.allpole(x, a)
+        return kernel.allpole(x, a, stride)
     from scipy import signal
 
-    return signal.lfilter([1.0], np.r_[1.0, -a], x)
+    # per phase, not through the upsampled denominator, whose zero taps
+    # would carry a NaN in one phase into the others
+    return signal.lfilter([1.0], np.r_[1.0, -a], x.reshape(-1, stride), axis=0).reshape(-1)
 
 
 def _on_fft_grid(mag: NDArray[np.float64], omega, n: int) -> NDArray[np.float64]:
     """A zero-phase filter given by its magnitude on the midpoint grid, on
-    the rfft bins of n samples, taken as linspace(0, pi, n // 2 + 1)."""
-    return np.interp(np.linspace(0.0, np.pi, n // 2 + 1), omega, mag, left=mag[0], right=mag[-1])
+    the rfft bins 2 pi k / n, k = 0 .. n // 2, of n samples."""
+    bins = np.arange(n // 2 + 1) * (2.0 * np.pi / n)
+    return np.interp(bins, omega, mag, left=mag[0], right=mag[-1])
 
 
 def _dsq_loop(u, a, q, stride: int, dither, step: float):
@@ -251,18 +250,14 @@ def _empirical_entropy(indices: NDArray[np.int64]) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def _shaper_for_mask(mask: Spectrum) -> PredictorCoeffs:
-    return noise_shaper(Spectrum(np.maximum(mask.values, MASK_FLOOR)), SHAPER_ORDER)
-
-
-def _interpolate(X: NDArray[np.complex128], n: int) -> NDArray[np.float64]:
-    """Upsample by two, through the ideal zero-phase half-band filter, the n
-    samples whose rfft is X: their spectrum moves onto [-pi/2, pi/2] and
-    nothing lands above it. The Nyquist bin of an even n is split between
-    +pi/2 and -pi/2. The even outputs are the n samples."""
-    if n % 2 == 0:
-        X = np.concatenate((X[:-1], 0.5 * X[-1:]))
-    return 2.0 * np.fft.irfft(X, 2 * n)
+def _interpolate(X: NDArray[np.complex128], n: int) -> NDArray[np.complex128]:
+    """The 2n-point rfft of the n samples whose rfft is X, upsampled by two
+    through the ideal zero-phase half-band filter: their spectrum, doubled,
+    moves onto [-pi/2, pi/2] and nothing lands above it. The Nyquist bin of
+    an even n is split between +pi/2 and -pi/2, so it is not doubled. The
+    even samples of its irfft are the n samples."""
+    h = (n + 1) // 2
+    return np.concatenate((2.0 * X[:h], X[h:], np.zeros(n + 1 - X.size)))
 
 
 def _decoder_spectra(V: NDArray[np.complex128], n: int):
@@ -273,11 +268,9 @@ def _decoder_spectra(V: NDArray[np.complex128], n: int):
     |omega| <= pi/2 kept at the even samples, where the bins at +pi/2 and
     -pi/2 fold onto one Nyquist bin (even n). The central output undoes
     `_interpolate`. Returns (even, odd, central)."""
-    j = np.arange(n // 2 + 1)
+    j, h = np.arange(n // 2 + 1), (n + 1) // 2
     low, mirror = V[: n // 2 + 1], np.conj(V[n - j])
-    central = 0.5 * low
-    if n % 2 == 0:
-        central[-1] *= 2.0
+    central = np.concatenate((0.5 * low[:h], low[h:]))
     return 0.5 * (low + mirror), 0.5 * (low - mirror) * np.exp(1j * np.pi * j / n), central
 
 
@@ -285,35 +278,35 @@ def _encode(source: Spectrum, mask: Spectrum, F: NDArray[np.float64], stride: in
             cfg: SimConfig):
     """The encoder of all three structures.
 
-    Synthesizes the source x and, from its one rfft X, applies the pre
+    Synthesizes the source and, from its one rfft X, applies the pre
     filter F (on the rfft grid) and, at stride 2, interpolates to the
-    upsampled rate of the two interleaved descriptions.
+    upsampled rate of the two interleaved descriptions, in one irfft.
     The loop then predicts from the reconstructions `stride`, 2 `stride`,
     ... samples back and injects noise shaped by the mask predictor:
     vectorized in awgn mode, the sequential loop in ecdq mode. One seed
     fixes every stream: [seed, 1] the source, [seed, 2] the awgn noise and
     the stride-1 dither, [seed, 3] and [seed, 4] the dithers of the even
-    and the odd samples at stride 2. Returns (x, X, a, shaper, V, Y,
-    indices), with indices None in awgn mode.
+    and the odd samples at stride 2. Returns (X, a, shaper, V, Y, indices),
+    with indices None in awgn mode.
     """
     n = cfg.num_samples
     x, a = _synth_source(source, np.random.default_rng([cfg.seed, 1]), n)
     X = np.fft.rfft(x)
-    shaper = _shaper_for_mask(mask)
-    u = np.fft.irfft(X * F, n) if stride == 1 else _interpolate(X * F, n)
+    shaper = noise_shaper(Spectrum(np.maximum(mask.values, MASK_FLOOR)), SHAPER_ORDER)
+    u = np.fft.irfft(X * F if stride == 1 else _interpolate(X * F, n), stride * n)
     m = u.size
     if cfg.mode == "awgn":
         rng = np.random.default_rng([cfg.seed, 2])
         z = rng.standard_normal(m) * math.sqrt(shaper.innovation_variance)
         v = u + _allpole(z, shaper.coeffs)
-        return x, X, a, shaper, v, _apply_predictor_error(v, a, stride), None
+        return X, a, shaper, v, _apply_predictor_error(v, a, stride), None
     step = math.sqrt(12.0 * shaper.innovation_variance)
     dither = np.empty(m)
     for k, stream in enumerate((2,) if stride == 1 else (3, 4)):
         state = QuantizerState(step=step, rng=np.random.default_rng([cfg.seed, stream]))
         dither[k::stride] = state.draw_dither(m // stride)
     v, y, indices = _ecdq_loop(u, a, shaper.coeffs, stride=stride, dither=dither, step=step)
-    return x, X, a, shaper, v, y, indices
+    return X, a, shaper, v, y, indices
 
 
 def run_sd_mask_channel(source: Spectrum, mask: Spectrum, cfg: SimConfig) -> SimReport:
@@ -330,12 +323,11 @@ def run_sd_mask_channel(source: Spectrum, mask: Spectrum, cfg: SimConfig) -> Sim
     F = _on_fft_grid(sd_prefilter(source, mask), source.omega, n)
     D = mask.values
     edge = NoiseSpectra(D / 2, D / 2, D >= source.values)
-    x, _, _, shaper, v, y, indices = _encode(source, mask, F, 1, cfg)
-    xhat = np.fft.irfft(np.fft.rfft(v) * F, n)
+    X, _, shaper, v, y, indices = _encode(source, mask, F, 1, cfg)
 
     # one measured window for the distortion, the PSDs and the rate
     sl = slice(WARMUP, n - WARMUP)
-    err = (xhat - x)[sl]
+    err = np.fft.irfft(np.fft.rfft(v) * F - X, n)[sl]
     y_trim = y[sl]
     return SimReport(
         d_side_1=None,
@@ -351,6 +343,16 @@ def run_sd_mask_channel(source: Spectrum, mask: Spectrum, cfg: SimConfig) -> Sim
     )
 
 
+def _path_errors(X, v_up, F, G, paths):
+    """Each decoder path's error, irfft(filter x decoded - reference, n), of
+    paths 0 and 1, the sides (F), and 2, the central path (G): the decoders
+    of `_decoder_spectra` applied to V and to the interpolated source."""
+    n = v_up.size // 2
+    decoded = _decoder_spectra(np.fft.rfft(v_up), n)
+    refs = _decoder_spectra(_interpolate(X, n), n)
+    return {k: np.fft.irfft((F, F, G)[k] * decoded[k] - refs[k], n) for k in paths}
+
+
 def _run_md(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig, decode) -> SimReport:
     """Encode the two descriptions, rebuild V as decode(a, V, Y), and
     measure the side paths of the kept descriptions and, if both are kept,
@@ -358,20 +360,12 @@ def _run_md(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig, decode) -> Si
     n = cfg.num_samples
     pp = pre_post_filters(source, noise)
     F, G = (_on_fft_grid(mag, source.omega, n) for mag in (pp.f_mag, pp.g_mag))
-    x, X, a, shaper, v_up, y_up, indices = _encode(source, interleave_theta(noise), F, 2, cfg)
+    X, a, shaper, v_up, y_up, indices = _encode(source, interleave_theta(noise), F, 2, cfg)
     v_up = decode(a, v_up, y_up)
-    ref = _interpolate(X, n)
-    *phases, central = _decoder_spectra(np.fft.rfft(v_up), n)
-
     kept = [k for k in (0, 1) if cfg.erasure != f"lose_desc{k + 1}"]
-    xh = {k: np.fft.irfft(phases[k] * F, n) for k in kept}
-    err = {k: (xh[k] - ref[k::2])[WARMUP : n - WARMUP] for k in kept}
-    d_side = [float(np.mean(err[k] * err[k])) if k in err else None for k in (0, 1)]
-
-    dc = errc = None
-    if len(kept) == 2:
-        errc = (np.fft.irfft(central * G, n) - x)[WARMUP : n - WARMUP]
-        dc = float(np.mean(errc * errc))
+    paths = kept + [2] if len(kept) == 2 else kept
+    err = {k: e[WARMUP : n - WARMUP] for k, e in _path_errors(X, v_up, F, G, paths).items()}
+    d = {k: float(np.mean(e * e)) for k, e in err.items()}
 
     # the first kept description gives the description process and the side PSD
     y_trim = y_up[kept[0] :: 2][WARMUP : n - WARMUP]
@@ -382,25 +376,23 @@ def _run_md(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig, decode) -> Si
         rate_emp = 0.5 * (_empirical_entropy(idx[0::2]) + _empirical_entropy(idx[1::2]))
 
     return SimReport(
-        d_side_1=d_side[0],
-        d_side_2=d_side[1],
-        d_central=dc,
+        d_side_1=d.get(0),
+        d_side_2=d.get(1),
+        d_central=d.get(2),
         rate_analytical=float(np.mean(densities(source.values, noise)[0])),
         rate_empirical=rate_emp,
         psd_y=welch_psd(y_trim, cfg.welch_segment),
         psd_err_side=welch_psd(err[kept[0]], cfg.welch_segment),
-        psd_err_central=welch_psd(errc, cfg.welch_segment) if errc is not None else None,
+        psd_err_central=welch_psd(err[2], cfg.welch_segment) if 2 in err else None,
         y_variance=float(np.var(y_trim)),
         noise_variance=shaper.innovation_variance,
     )
 
 
 def _decode_descriptions(a, v_up, y_up):
-    """Rebuild each description's V from its own Y by 1/(1 - A)."""
-    v_up = np.zeros_like(y_up)
-    for k in (0, 1):
-        v_up[k::2] = _allpole(y_up[k::2], a)
-    return v_up
+    """Rebuild each description's V from its own Y by 1/(1 - A): the two
+    phases of the interleaved stream, filtered apart in one call."""
+    return _allpole(y_up, a, 2)
 
 
 def run_md_channel(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig) -> SimReport:

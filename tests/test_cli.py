@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mdrdf
 from mdrdf import LagrangePair, evaluate, spectral_solver
 from mdrdf.cli import SPECTRA_CSV_COLUMNS, _load_spectra_csv, main, parse_spectrum_spec
 from mdrdf.rdf import densities
@@ -493,8 +496,11 @@ class TestInputErrors:
             ["fit", "--spectrum", "cosine", "--ds", "nan", "--dc", "0.1"],
             ["fit", "--spectrum", "cosine", "--ds", "inf", "--dc", "0.1"],
             ["fit", "--spectrum", "cosine", "--ds", "0.4", "--dc", "inf"],
+            *(["fit", "--spectrum", "cosine", "--ds", "0.5", "--dc", "0.01", "--tol", tol]
+              for tol in ("-1", "0", "nan", "inf")),
         ],
-        ids=["solve-inf-lambda", "fit-nan-target", "fit-inf-ds", "fit-inf-dc"],
+        ids=["solve-inf-lambda", "fit-nan-target", "fit-inf-ds", "fit-inf-dc",
+             "fit-negative-tol", "fit-zero-tol", "fit-nan-tol", "fit-inf-tol"],
     )
     def test_non_finite_exit_2(self, argv, capsys):
         code, out, _ = run_cli(argv, capsys)
@@ -689,6 +695,13 @@ class TestVerifyCommand:
         assert "unrecognized arguments" in err
 
 
+def child_env():
+    """The environment of a child interpreter that imports the mdrdf this
+    process imported, whether or not it is installed."""
+    path = [str(Path(mdrdf.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 class TestImportCost:
     def test_only_simulate_loads_scipy(self, tmp_path):
         # solve, sweep and fit run on numpy alone: they never import
@@ -719,6 +732,7 @@ assert mdrdf.cli.SimConfig is mdrdf.sim.SimConfig
             capture_output=True,
             text=True,
             timeout=120,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         fit = json.loads((tmp_path / "fit.out").read_text())["result"]
@@ -744,6 +758,7 @@ assert not loaded, loaded
             capture_output=True,
             text=True,
             timeout=120,
+            env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         ecdq = json.loads((tmp_path / "ecdq.json").read_text())["result"]

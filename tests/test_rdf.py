@@ -137,6 +137,12 @@ class TestFit:
         with pytest.raises(TargetInfeasible):
             fit_lambdas(flat_spectrum(1.0, 128), DistortionPair(1.5, 0.5))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_not_positive_finite(self, tol):
+        # an infinite tol would accept the side edge point whatever its D_C
+        with pytest.raises(ValueError, match="tol"):
+            fit_lambdas(cosine_spectrum(), DistortionPair(0.5, 0.01), tol=tol)
+
     def test_slack_central_constraint_returns_feasible_min_rate(self):
         # (0.5, 0.45) has the central constraint inactive: no equality fit
         # exists, the result must still satisfy both as inequalities

@@ -21,6 +21,7 @@ from mdrdf.errors import KernelUnavailableWarning, MaskExceedsSource, SignalTooS
 from mdrdf.filters import interleave_theta, noise_shaper
 from mdrdf.rdf import NoiseSpectra
 from mdrdf.sim import (
+    MODES,
     PREDICTOR_ORDER,
     QuantizerState,
     SimConfig,
@@ -28,6 +29,8 @@ from mdrdf.sim import (
     _decoder_spectra,
     _dsq_loop,
     _interpolate,
+    _on_fft_grid,
+    _path_errors,
     run_md_channel,
     run_md_codec,
     run_sd_mask_channel,
@@ -241,9 +244,14 @@ class TestCompiledLoop:
     @needs_cc
     @pytest.mark.parametrize("order", [1, 3, 5, 33, 97])
     def test_allpole_partial_sum_remainders(self, order):
+        # at stride s each phase x[k::s] is its own all-pole filter; 2048 is
+        # not a multiple of 3, so the phases at stride 3 differ in length
         rng = np.random.default_rng(order)
         a, x = self.stable_taps(order, rng), rng.standard_normal(2048)
-        assert_allpole_matches_lfilter(sim.dsq_kernel.load().allpole(x, a), x, a)
+        for stride in (1, 2, 3):
+            y = sim.dsq_kernel.load().allpole(x, a, stride)
+            for k in range(stride):
+                assert_allpole_matches_lfilter(y[k::stride], x[k::stride], a)
 
     def test_fallback_without_compiler(self, tmp_path, ar1, monkeypatch, fresh_kernel):
         # ecdq on a white source, which needs no all-pole filter, so the
@@ -266,8 +274,14 @@ class TestCompiledLoop:
         with pytest.warns(KernelUnavailableWarning) as warned:
             fallback = [run(*args) for run, *args in runs]
             sim._ecdq_loop(np.zeros(8), np.zeros(0), np.zeros(0), 1, np.zeros(8), 1.0)
+            # lfilter's per-phase decoder keeps a lost description's NaN out
+            # of the kept one
+            checked = spy_decoder(monkeypatch, "lose_desc2")
+            run_md_codec(ar1, ar_noise, SimConfig(num_samples=1 << 16, seed=9,
+                                                  erasure="lose_desc2"))
         assert sum(issubclass(w.category, KernelUnavailableWarning) for w in warned) == 1
         assert fresh_kernel() is None
+        assert len(checked) == 1 and checked[0] <= 1e-12
         np.testing.assert_array_equal(calls[1][2][2], calls[0][2][2])
         assert fallback[0].rate_empirical > 0
         for got, want in zip(fallback, compiled):
@@ -345,7 +359,7 @@ class TestScipyEquivalence:
 
 
 def interpolate(x):
-    return _interpolate(np.fft.rfft(x), x.size)
+    return np.fft.irfft(_interpolate(np.fft.rfft(x), x.size), 2 * x.size)
 
 
 def decode_central(v_up):
@@ -388,8 +402,8 @@ class TestIdealHalfband:
 class TestComposedFilters:
     """Each composed spectral path against the chain of separate transforms
     it replaces: a zero-phase filter as its own rfft and irfft, the
-    interpolator as its own rfft, and the central decoder as its own
-    rfft of the upsampled signal, at an even and an odd length."""
+    interpolator as its own rfft and irfft at 2n, and the central decoder
+    as its own rfft of the upsampled signal, at an even and an odd length."""
 
     @staticmethod
     def zero_phase(x, mag):
@@ -419,20 +433,60 @@ class TestComposedFilters:
     def test_encoder_paths(self, n):
         rng = np.random.default_rng(45)
         x, F = rng.standard_normal(n), rng.uniform(0.1, 2.0, n // 2 + 1)
-        X = np.fft.rfft(x)
-        self.assert_close(_interpolate(X * F, n), self.old_interpolate(self.zero_phase(x, F)))
-        self.assert_close(_interpolate(X, n), self.old_interpolate(x))
+        got = np.fft.irfft(_interpolate(np.fft.rfft(x) * F, n), 2 * n)
+        self.assert_close(got, self.old_interpolate(self.zero_phase(x, F)))
 
     @pytest.mark.parametrize("n", [5000, 5001])
     def test_decoder_paths(self, n):
         rng = np.random.default_rng(46)
-        v_up = rng.standard_normal(2 * n)
+        x, v_up = rng.standard_normal(n), rng.standard_normal(2 * n)
         F, G = rng.uniform(0.1, 2.0, (2, n // 2 + 1))
-        even, odd, central = _decoder_spectra(np.fft.rfft(v_up), n)
-        self.assert_close(np.fft.irfft(even * F, n), self.zero_phase(v_up[0::2], F))
-        self.assert_close(np.fft.irfft(odd * F, n), self.zero_phase(v_up[1::2], F))
-        self.assert_close(np.fft.irfft(central * G, n),
-                          self.zero_phase(self.old_decode_central(v_up), G))
+        err = _path_errors(np.fft.rfft(x), v_up, F, G, [0, 1, 2])
+        ref = self.old_interpolate(x)
+        for k in (0, 1):
+            self.assert_close(err[k], self.zero_phase(v_up[k::2], F) - ref[k::2])
+        self.assert_close(err[2], self.zero_phase(self.old_decode_central(v_up), G) - x)
+
+    def test_full_length_transforms(self, ar1, monkeypatch):
+        # each signal is transformed once, and each decoder path's error is
+        # one irfft; the smaller transforms (the predictor fits'
+        # autocorrelations, Welch's 2-D frames) are not counted
+        n = 1 << 16
+        counts = {}
+        for name in ("rfft", "irfft"):
+            real = getattr(np.fft, name)
+
+            def counted(a, *args, _real=real, _name=name, **kwargs):
+                out = _real(a, *args, **kwargs)
+                length = a.size if _name == "rfft" else out.size
+                if np.ndim(a) == 1 and length >= n:
+                    counts[_name] = counts.get(_name, 0) + 1
+                return out
+
+            monkeypatch.setattr(np.fft, name, counted)
+        noise = flat_noise(0.05, 0.2, ar1.grid_size)
+        for mode in MODES:
+            cfg = SimConfig(num_samples=n, seed=47, mode=mode)
+            for run in (run_md_codec, run_md_channel):
+                counts.clear()
+                run(ar1, noise, cfg)
+                assert counts == {"rfft": 2, "irfft": 4}
+            counts.clear()
+            run_sd_mask_channel(ar1, flat_spectrum(0.1, ar1.grid_size), cfg)
+            assert counts == {"rfft": 2, "irfft": 2}
+
+
+class TestFftGrid:
+    @pytest.mark.parametrize("n", [5000, 5001])
+    def test_filter_read_at_bin_frequencies(self, n):
+        # a filter linear in omega reads back as its bins' frequencies
+        # 2 pi k / n, at an odd n too, which has no bin at pi
+        omega = midpoint_omega(256)
+        got = _on_fft_grid(1.0 + omega, omega, n)
+        bins = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+        inner = (bins >= omega[0]) & (bins <= omega[-1])
+        assert got.shape == (n // 2 + 1,)
+        np.testing.assert_allclose(got[inner], 1.0 + bins[inner], rtol=1e-13)
 
 
 class TestSeedContract:
@@ -550,6 +604,30 @@ class TestMdChannel:
         assert report.d_central < report.d_side_1 / 3.0
 
 
+def spy_decoder(monkeypatch, erasure):
+    """Make the codec's decoder check that each kept description's V comes
+    back from its own Y alone: the lost description's Y is replaced by NaN
+    before decoding. Returns the list of each kept description's largest
+    error relative to its V, filled as the codec runs."""
+    checked = []
+    real = sim._decode_descriptions
+
+    def spy(a, v_up, y_up):
+        y_kept = y_up.copy()
+        for k in (0, 1):
+            if erasure == f"lose_desc{k + 1}":
+                y_kept[k::2] = np.nan
+        rebuilt = real(a, v_up, y_kept)
+        for k in (0, 1):
+            if erasure != f"lose_desc{k + 1}":
+                err = np.max(np.abs(rebuilt[k::2] - v_up[k::2]))
+                checked.append(err / np.max(np.abs(v_up[k::2])))
+        return real(a, v_up, y_up)
+
+    monkeypatch.setattr(sim, "_decode_descriptions", spy)
+    return checked
+
+
 class TestMdCodec:
     def test_awgn_codec_equals_channel(self, cosine, example1_point):
         noise = example1_point.spectra
@@ -629,24 +707,7 @@ class TestMdCodec:
         [("awgn", "none"), ("ecdq", "none"), ("ecdq", "lose_desc1"), ("awgn", "lose_desc2")],
     )
     def test_decoder_rebuilds_encoder_v(self, cosine, monkeypatch, mode, erasure):
-        # each kept description's V comes back from its own Y alone: the
-        # lost description's Y is replaced by NaN before decoding
-        checked = []
-        real = sim._decode_descriptions
-
-        def spy(a, v_up, y_up):
-            y_kept = y_up.copy()
-            for k in (0, 1):
-                if erasure == f"lose_desc{k + 1}":
-                    y_kept[k::2] = np.nan
-            rebuilt = real(a, v_up, y_kept)
-            for k in (0, 1):
-                if erasure != f"lose_desc{k + 1}":
-                    err = np.max(np.abs(rebuilt[k::2] - v_up[k::2]))
-                    checked.append(err / np.max(np.abs(v_up[k::2])))
-            return real(a, v_up, y_up)
-
-        monkeypatch.setattr(sim, "_decode_descriptions", spy)
+        checked = spy_decoder(monkeypatch, erasure)
         cfg = SimConfig(num_samples=1 << 16, seed=25, mode=mode, erasure=erasure)
         run_md_codec(cosine, anchor_point(cosine).spectra, cfg)
         assert len(checked) == (2 if erasure == "none" else 1)
