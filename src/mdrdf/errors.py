@@ -38,7 +38,8 @@ class DomainError(MdrdfError):
 
 
 class TargetInfeasible(MdrdfError):
-    """No multiplier pair within the search bounds meets the targets."""
+    """The distortion targets admit no operating point: D_C outside (0, D_S],
+    or D_S above the source variance."""
 
 
 class NoConvergence(MdrdfError):

@@ -174,7 +174,8 @@ def fit_lambdas(spectrum: Spectrum, target: DistortionPair, tol: float = 1e-6) -
     the average power, or from the edge multipliers (1/(4 w), 1/(8 v))
     where that inversion has no positive solution, and iterates until
     the residual is at rounding level. NoConvergence is raised if it
-    ends with a residual above tol, which must be positive and finite.
+    ends with a residual above tol, which must be positive and finite,
+    or if an edge point misses its binding target by more than tol.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -189,12 +190,31 @@ def fit_lambdas(spectrum: Spectrum, target: DistortionPair, tol: float = 1e-6) -
     w = _water_level(half, 0.5 * ds)
     t = np.minimum(w, half)
     if float(np.mean(2.0 * half * t / (2.0 * half - t))) <= dc + tol:
-        return evaluate(spectrum, LagrangePair(0.25 / w, 0.0))
+        return _edge_point(spectrum, LagrangePair(0.25 / w, 0.0), ds, dc, tol)
     v = _water_level(half, 0.5 * dc)
     if float(np.mean(half + np.minimum(v, half))) <= ds + tol:
-        return evaluate(spectrum, LagrangePair(0.0, 0.125 / v))
+        return _edge_point(spectrum, LagrangePair(0.0, 0.125 / v), ds, dc, tol)
     seed = _analytic_seed(sigma2, ds, dc) or (0.25 / w, 0.125 / v)
     return _newton_fit(spectrum, ds, dc, seed, tol)
+
+
+def _edge_point(spectrum, lam, ds, dc, tol):
+    """The slack-edge point at lam, checked as the Newton result is: its
+    binding distortion within tol of its target, and the slack one at most
+    tol above its own. A target above the variance, which the fit admits
+    to rounding, binds at the variance."""
+    pt = evaluate(spectrum, lam)
+    if lam.lambda2 == 0.0:
+        binding, target, slack, limit = pt.d_side, ds, pt.d_central, dc
+    else:
+        binding, target, slack, limit = pt.d_central, dc, pt.d_side, ds
+    if abs(binding - min(target, spectrum.variance)) <= tol and slack <= limit + tol:
+        return pt
+    raise NoConvergence(
+        f"slack-edge point at multipliers ({lam.lambda1:.3g}, {lam.lambda2:.3g}) has "
+        f"(D_S, D_C) = ({pt.d_side:.3g}, {pt.d_central:.3g}), off the targets "
+        f"({ds}, {dc}) by more than tol={tol}"
+    )
 
 
 def _analytic_seed(sigma2, ds, dc):

@@ -20,6 +20,9 @@ exactly on the FFT grid, so that each signal is transformed once: one
 rfft of the source feeds the encoder's input and every reference, one
 rfft of the upsampled V every decoder, and each decoder path's error is
 one irfft of its filter times its decoded spectrum less its reference.
+Each decoder estimates the source, so the references are the source's
+spectrum X itself for the even side and the central path, and X half a
+sample later for the odd side.
 
 In both modes the ecdq loop and the all-pole filters 1/(1 - A) (source
 synthesis, awgn noise shaping, codec decoding) run as one compiled C
@@ -195,7 +198,7 @@ def _on_fft_grid(mag: NDArray[np.float64], omega, n: int) -> NDArray[np.float64]
     """A zero-phase filter given by its magnitude on the midpoint grid, on
     the rfft bins 2 pi k / n, k = 0 .. n // 2, of n samples."""
     bins = np.arange(n // 2 + 1) * (2.0 * np.pi / n)
-    return np.interp(bins, omega, mag, left=mag[0], right=mag[-1])
+    return np.interp(bins, omega, mag)
 
 
 def _dsq_loop(u, a, q, stride: int, dither, step: float):
@@ -260,18 +263,25 @@ def _interpolate(X: NDArray[np.complex128], n: int) -> NDArray[np.complex128]:
     return np.concatenate((2.0 * X[:h], X[h:], np.zeros(n + 1 - X.size)))
 
 
-def _decoder_spectra(V: NDArray[np.complex128], n: int):
+def _half_sample(n: int) -> NDArray[np.complex128]:
+    """exp(i pi j / n) on the rfft bins j = 0 .. n // 2 of n samples: the
+    advance by half a sample."""
+    return np.exp(1j * np.pi * np.arange(n // 2 + 1) / n)
+
+
+def _decoder_spectra(V: NDArray[np.complex128], n: int, turn: NDArray[np.complex128]):
     """The rffts of the decoders' n-sample inputs, from the rfft V of the
     upsampled 2n samples: the even and the odd samples, by the polyphase
-    identity V[j] = E[j] + exp(-i pi j / n) O[j] and V[n - j] = conj(E[j] -
-    exp(-i pi j / n) O[j]); and the central decoder's output, the low half
-    |omega| <= pi/2 kept at the even samples, where the bins at +pi/2 and
-    -pi/2 fold onto one Nyquist bin (even n). The central output undoes
-    `_interpolate`. Returns (even, odd, central)."""
-    j, h = np.arange(n // 2 + 1), (n + 1) // 2
-    low, mirror = V[: n // 2 + 1], np.conj(V[n - j])
+    identity V[j] = E[j] + conj(turn[j]) O[j] and V[n - j] = conj(E[j] -
+    conj(turn[j]) O[j]), with turn = `_half_sample(n)`; and the central
+    decoder's output, the low half |omega| <= pi/2 kept at the even
+    samples, where the bins at +pi/2 and -pi/2 fold onto one Nyquist bin
+    (even n). The central output undoes `_interpolate`. Returns (even,
+    odd, central)."""
+    h = (n + 1) // 2
+    low, mirror = V[: n // 2 + 1], np.conj(V[n - n // 2 :][::-1])
     central = np.concatenate((0.5 * low[:h], low[h:]))
-    return 0.5 * (low + mirror), 0.5 * (low - mirror) * np.exp(1j * np.pi * j / n), central
+    return 0.5 * (low + mirror), 0.5 * (low - mirror) * turn, central
 
 
 def _encode(source: Spectrum, mask: Spectrum, F: NDArray[np.float64], stride: int,
@@ -345,11 +355,17 @@ def run_sd_mask_channel(source: Spectrum, mask: Spectrum, cfg: SimConfig) -> Sim
 
 def _path_errors(X, v_up, F, G, paths):
     """Each decoder path's error, irfft(filter x decoded - reference, n), of
-    paths 0 and 1, the sides (F), and 2, the central path (G): the decoders
-    of `_decoder_spectra` applied to V and to the interpolated source."""
+    paths 0 and 1, the sides (F), and 2, the central path (G). Each decoder
+    estimates the source, so the reference of the even side and the central
+    path is X itself, and that of the odd side X half a sample later, whose
+    Nyquist bin (even n) is zero: the interpolator splits it between +pi/2
+    and -pi/2, which the odd samples fold onto it with opposite signs."""
     n = v_up.size // 2
-    decoded = _decoder_spectra(np.fft.rfft(v_up), n)
-    refs = _decoder_spectra(_interpolate(X, n), n)
+    turn = _half_sample(n)
+    decoded = _decoder_spectra(np.fft.rfft(v_up), n, turn)
+    odd = X * turn
+    odd[(n + 1) // 2 :] = 0.0
+    refs = (X, odd, X)
     return {k: np.fft.irfft((F, F, G)[k] * decoded[k] - refs[k], n) for k in paths}
 
 

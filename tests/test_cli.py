@@ -291,6 +291,16 @@ class TestFitCommand:
         assert (solved["d_side"], solved["d_central"]) == (fitted["d_side"], fitted["d_central"])
         assert solved["d_eps"] == fitted["d_eps"]
 
+    @pytest.mark.parametrize(
+        "spec, ds, dc", [("cosine", "1e-200", "1e-200"), ("flat:1", "1e-200", "1e-201")]
+    )
+    def test_off_target_edge_point_exit_3(self, capsys, spec, ds, dc):
+        with pytest.warns(RuntimeWarning):
+            code, out, err = run_cli(["fit", "--spectrum", spec, "--ds", ds, "--dc", dc], capsys)
+        assert code == 3
+        assert out == ""
+        assert "slack-edge" in err
+
     def test_infeasible_exit_4(self, capsys):
         code, _, _ = run_cli(
             ["fit", "--spectrum", "flat:1", "--ds", "0.1", "--dc", "0.2"],

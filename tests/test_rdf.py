@@ -19,7 +19,7 @@ from mdrdf import (
     theta_to_distortions,
 )
 from mdrdf import rdf
-from mdrdf.errors import TargetInfeasible
+from mdrdf.errors import NoConvergence, TargetInfeasible
 from mdrdf.rdf import _analytic_seed, distortion_jacobian
 from mdrdf.spectral_solver import solve_spectrum
 from mdrdf.verify import high_rate_approx
@@ -165,6 +165,24 @@ class TestFit:
         assert getattr(pt.lambdas, slack) == 0.0
         assert abs(pt.d_side - want[0]) <= 1e-12
         assert abs(pt.d_central - want[1]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "source, target", [("cosine", (1e-200, 1e-200)), ("flat", (1e-200, 1e-201))]
+    )
+    def test_off_target_edge_point_raises(self, source, target):
+        # the side edge's lambda1 = 5e199 overflows the per-frequency
+        # solver, which returns the zero-rate corner, D_S = D_C = variance
+        with pytest.warns(RuntimeWarning), pytest.raises(NoConvergence, match="slack-edge"):
+            fit_lambdas(SPECTRA[source], DistortionPair(*target))
+
+    def test_target_above_variance_binds_at_variance(self):
+        # the fit admits a target up to 1e-9 above the variance; the edge
+        # point reaches the variance, which a large variance puts more than
+        # tol below the target
+        var = 1e4
+        ds = var * (1.0 + 5e-10)
+        pt = fit_lambdas(flat_spectrum(var, 128), DistortionPair(ds, ds), tol=1e-6)
+        assert (pt.rate, pt.d_side, pt.d_central) == (0.0, var, var)
 
     @pytest.mark.parametrize("source, u, v", [("cosine", 0.15, 0.09), ("ar1", 0.1, 0.07)])
     def test_equality_target_without_analytic_seed(self, cosine, ar1, source, u, v):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from mdrdf.sim import (
     _apply_predictor_error,
     _decoder_spectra,
     _dsq_loop,
+    _half_sample,
     _interpolate,
     _on_fft_grid,
     _path_errors,
@@ -364,7 +366,7 @@ def interpolate(x):
 
 def decode_central(v_up):
     n = v_up.size // 2
-    return np.fft.irfft(_decoder_spectra(np.fft.rfft(v_up), n)[2], n)
+    return np.fft.irfft(_decoder_spectra(np.fft.rfft(v_up), n, _half_sample(n))[2], n)
 
 
 class TestIdealHalfband:
@@ -446,6 +448,39 @@ class TestComposedFilters:
         for k in (0, 1):
             self.assert_close(err[k], self.zero_phase(v_up[k::2], F) - ref[k::2])
         self.assert_close(err[2], self.zero_phase(self.old_decode_central(v_up), G) - x)
+
+    @pytest.mark.parametrize("n", [5000, 5001])
+    def test_perfect_channel_has_no_error(self, n):
+        # V the ideally interpolated source: each decoder gives back the
+        # source, which pins the closed-form references to the decoders
+        x = np.random.default_rng(47).standard_normal(n)
+        X = np.fft.rfft(x)
+        v_up = np.fft.irfft(_interpolate(X, n), 2 * n)
+        unit = np.ones(n // 2 + 1)
+        err = _path_errors(X, v_up, unit, unit, [0, 1, 2])
+        for k in (0, 1, 2):
+            assert np.max(np.abs(err[k])) <= 1e-13 * np.max(np.abs(x)), k
+
+    def test_one_split_per_run(self, ar1, monkeypatch):
+        # a two-description run splits V into its decoders' inputs once, and
+        # interpolates only the encoder's input
+        callers = {}
+        for name in ("_decoder_spectra", "_interpolate"):
+            real = getattr(sim, name)
+
+            def counted(*args, _real=real, _name=name):
+                callers.setdefault(_name, []).append(sys._getframe(1).f_code.co_name)
+                return _real(*args)
+
+            monkeypatch.setattr(sim, name, counted)
+        noise = flat_noise(0.05, 0.2, ar1.grid_size)
+        for mode in MODES:
+            cfg = SimConfig(num_samples=1 << 16, seed=48, mode=mode)
+            for run in (run_md_codec, run_md_channel):
+                callers.clear()
+                run(ar1, noise, cfg)
+                want = {"_decoder_spectra": ["_path_errors"], "_interpolate": ["_encode"]}
+                assert callers == want
 
     def test_full_length_transforms(self, ar1, monkeypatch):
         # each signal is transformed once, and each decoder path's error is
