@@ -5,11 +5,12 @@ channel, the two-description equivalent channel (upsampled prediction
 inside a common noise-shaping loop), and the nested encoder/decoder codec
 with per-description prediction loops. One encoder serves all three, at
 stride 1 for the single-description channel and at stride 2 for the two
-interleaved descriptions. Noise injection is either white Gaussian (awgn
-mode) or a scalar subtractive-dither uniform quantizer (ecdq mode); both
-have identical second moments when step^2/12 equals the injected
-variance, which is what every measured quantity depends on. The
-analytical rate is `evaluate`'s: the mean of `rdf.densities`'s rate.
+interleaved descriptions, and one report measures all three over one
+window. Noise injection is either white Gaussian (awgn mode) or a scalar
+subtractive-dither uniform quantizer (ecdq mode); both have identical
+second moments when step^2/12 equals the injected variance, which is what
+every measured quantity depends on. The analytical rate is `evaluate`'s:
+the mean of `rdf.densities`'s rate.
 
 The noise shaper is the recursive filter 1 + C = 1/(1 - Q) of the mask
 predictor Q. Only ecdq mode runs the sequential loop, because the
@@ -120,17 +121,20 @@ class QuantizerState:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Measured rates, distortions and PSDs from one simulation run."""
+    """Measured rates, distortions and PSDs from one simulation run. None
+    marks what a run does not measure: the side fields in the
+    single-description channel, a lost description's side distortion and
+    the central fields under an erasure, and rate_empirical in awgn mode."""
 
     d_side_1: Optional[float]
     d_side_2: Optional[float]
     d_central: Optional[float]
     rate_analytical: float
     rate_empirical: Optional[float]
-    psd_y: Optional[Spectrum]
+    psd_y: Spectrum
     psd_err_side: Optional[Spectrum]
     psd_err_central: Optional[Spectrum]
-    y_variance: Optional[float]
+    y_variance: float
     noise_variance: float
 
     def to_dict(self) -> dict:
@@ -319,6 +323,38 @@ def _encode(source: Spectrum, mask: Spectrum, F: NDArray[np.float64], stride: in
     return X, a, shaper, v, y, indices
 
 
+def _report(source: Spectrum, noise: NoiseSpectra, shaper, y, indices, err, cfg: SimConfig):
+    """The report of a run of any structure, from the errors err of its
+    decoder paths (0 and 1 the sides, 2 the central path or the
+    single-description channel's one path) and its descriptions, y and
+    indices interleaved at stride 1 or 2, each over samples WARMUP ..
+    n - WARMUP. The empirical rate is the descriptions' mean entropy."""
+    n = cfg.num_samples
+    stride = y.size // n
+    window = slice(WARMUP, n - WARMUP)
+    err = {k: e[window] for k, e in err.items()}
+    d = {k: float(np.mean(e * e)) for k, e in err.items()}
+    sides = [k for k in (0, 1) if k in err]
+    first = sides[0] if sides else 0  # the first kept description
+    y_trim = y[first::stride][window]
+    rate_emp = None
+    if indices is not None:
+        rates = [_empirical_entropy(indices[k::stride][window]) for k in range(stride)]
+        rate_emp = sum(rates) / stride
+    return SimReport(
+        d_side_1=d.get(0),
+        d_side_2=d.get(1),
+        d_central=d.get(2),
+        rate_analytical=float(np.mean(densities(source.values, noise)[0])),
+        rate_empirical=rate_emp,
+        psd_y=welch_psd(y_trim, cfg.welch_segment),
+        psd_err_side=welch_psd(err[first], cfg.welch_segment) if sides else None,
+        psd_err_central=welch_psd(err[2], cfg.welch_segment) if 2 in err else None,
+        y_variance=float(np.var(y_trim)),
+        noise_variance=shaper.innovation_variance,
+    )
+
+
 def run_sd_mask_channel(source: Spectrum, mask: Spectrum, cfg: SimConfig) -> SimReport:
     """Single-description coding subject to a distortion mask.
 
@@ -334,38 +370,22 @@ def run_sd_mask_channel(source: Spectrum, mask: Spectrum, cfg: SimConfig) -> Sim
     D = mask.values
     edge = NoiseSpectra(D / 2, D / 2, D >= source.values)
     X, _, shaper, v, y, indices = _encode(source, mask, F, 1, cfg)
-
-    # one measured window for the distortion, the PSDs and the rate
-    sl = slice(WARMUP, n - WARMUP)
-    err = np.fft.irfft(np.fft.rfft(v) * F - X, n)[sl]
-    y_trim = y[sl]
-    return SimReport(
-        d_side_1=None,
-        d_side_2=None,
-        d_central=float(np.mean(err * err)),
-        rate_analytical=float(np.mean(densities(source.values, edge)[0])),
-        rate_empirical=_empirical_entropy(indices[sl]) if indices is not None else None,
-        psd_y=welch_psd(y_trim, cfg.welch_segment),
-        psd_err_side=None,
-        psd_err_central=welch_psd(err, cfg.welch_segment),
-        y_variance=float(np.var(y_trim)),
-        noise_variance=shaper.innovation_variance,
-    )
+    err = np.fft.irfft(np.fft.rfft(v) * F - X, n)
+    return _report(source, edge, shaper, y, indices, {2: err}, cfg)
 
 
 def _path_errors(X, v_up, F, G, paths):
     """Each decoder path's error, irfft(filter x decoded - reference, n), of
     paths 0 and 1, the sides (F), and 2, the central path (G). Each decoder
     estimates the source, so the reference of the even side and the central
-    path is X itself, and that of the odd side X half a sample later, whose
-    Nyquist bin (even n) is zero: the interpolator splits it between +pi/2
-    and -pi/2, which the odd samples fold onto it with opposite signs."""
+    path is X itself, and that of the odd side X half a sample later. Its
+    Nyquist bin (even n) turns onto the imaginary axis, to rounding, which
+    irfft drops: the odd samples fold +pi/2 and -pi/2 onto it with opposite
+    signs."""
     n = v_up.size // 2
     turn = _half_sample(n)
     decoded = _decoder_spectra(np.fft.rfft(v_up), n, turn)
-    odd = X * turn
-    odd[(n + 1) // 2 :] = 0.0
-    refs = (X, odd, X)
+    refs = (X, X * turn, X)
     return {k: np.fft.irfft((F, F, G)[k] * decoded[k] - refs[k], n) for k in paths}
 
 
@@ -380,29 +400,8 @@ def _run_md(source: Spectrum, noise: NoiseSpectra, cfg: SimConfig, decode) -> Si
     v_up = decode(a, v_up, y_up)
     kept = [k for k in (0, 1) if cfg.erasure != f"lose_desc{k + 1}"]
     paths = kept + [2] if len(kept) == 2 else kept
-    err = {k: e[WARMUP : n - WARMUP] for k, e in _path_errors(X, v_up, F, G, paths).items()}
-    d = {k: float(np.mean(e * e)) for k, e in err.items()}
-
-    # the first kept description gives the description process and the side PSD
-    y_trim = y_up[kept[0] :: 2][WARMUP : n - WARMUP]
-
-    rate_emp = None
-    if indices is not None:
-        idx = indices[2 * WARMUP : 2 * (n - WARMUP)]
-        rate_emp = 0.5 * (_empirical_entropy(idx[0::2]) + _empirical_entropy(idx[1::2]))
-
-    return SimReport(
-        d_side_1=d.get(0),
-        d_side_2=d.get(1),
-        d_central=d.get(2),
-        rate_analytical=float(np.mean(densities(source.values, noise)[0])),
-        rate_empirical=rate_emp,
-        psd_y=welch_psd(y_trim, cfg.welch_segment),
-        psd_err_side=welch_psd(err[kept[0]], cfg.welch_segment),
-        psd_err_central=welch_psd(err[2], cfg.welch_segment) if 2 in err else None,
-        y_variance=float(np.var(y_trim)),
-        noise_variance=shaper.innovation_variance,
-    )
+    err = _path_errors(X, v_up, F, G, paths)
+    return _report(source, noise, shaper, y_up, indices, err, cfg)
 
 
 def _decode_descriptions(a, v_up, y_up):

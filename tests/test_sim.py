@@ -551,6 +551,33 @@ class TestSeedContract:
             np.testing.assert_array_equal(kwargs["dither"][k::2], state.draw_dither(1 << 16))
 
 
+class TestOneReport:
+    """Every structure is measured over one window of each description:
+    the empirical rate is the mean of the descriptions' index entropies,
+    and the description process is the first kept description's."""
+
+    @pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1])
+    @pytest.mark.parametrize(
+        "run, erasure",
+        [(run_sd_mask_channel, "none")]
+        + [(run, e) for run in (run_md_codec, run_md_channel) for e in sim.ERASURES],
+    )
+    def test_window_and_descriptions(self, ar1, monkeypatch, n, run, erasure):
+        calls = record_loop(monkeypatch)
+        cfg = SimConfig(num_samples=n, seed=33, mode="ecdq", erasure=erasure)
+        if run is run_sd_mask_channel:
+            report = run(ar1, flat_spectrum(0.1, ar1.grid_size), cfg)
+        else:
+            report = run(ar1, flat_noise(0.05, 0.2, ar1.grid_size), cfg)
+        (_, kwargs, (_, Y, idx)), = calls
+        stride, window = kwargs["stride"], slice(sim.WARMUP, n - sim.WARMUP)
+        assert stride == (1 if run is run_sd_mask_channel else 2)
+        rates = [sim._empirical_entropy(idx[k::stride][window]) for k in range(stride)]
+        assert report.rate_empirical == np.mean(rates)
+        first = 1 if erasure == "lose_desc1" else 0
+        assert report.y_variance == np.var(Y[first::stride][window])
+
+
 class TestSdMaskChannel:
     def test_flat_mask_on_ar1(self, ar1):
         cfg = SimConfig(num_samples=1 << 17, seed=10)
