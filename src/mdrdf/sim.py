@@ -17,16 +17,18 @@ predictor Q. Only ecdq mode runs the sequential loop, because the
 quantizer makes it nonlinear. In awgn mode the loop algebra collapses to
 V = U + Z/(1 - Q) and Y = (1 - A) V. The pre and post filters F and G,
 the interpolator and the central decoder are zero phase and applied
-exactly on the FFT grid, so that each signal is transformed once: one
-rfft of the source feeds the encoder's input and every reference, one
-rfft of the upsampled V every decoder, and each decoder path's error is
-one irfft of its filter times its decoded spectrum less its reference.
+exactly on the FFT grid, so that each signal is transformed once. The
+source is drawn on that grid: one rfft of white noise, shaped by the
+square root of the source spectrum, is the source's spectrum X, which
+feeds the encoder's input and every reference. One rfft of the
+upsampled V feeds every decoder, and each decoder path's error is one
+irfft of its filter times its decoded spectrum less its reference.
 Each decoder estimates the source, so the references are the source's
 spectrum X itself for the even side and the central path, and X half a
 sample later for the odd side.
 
-In both modes the ecdq loop and the all-pole filters 1/(1 - A) (source
-synthesis, awgn noise shaping, codec decoding) run as one compiled C
+In both modes the ecdq loop and the all-pole filters (awgn noise shaping
+by 1/(1 - Q), codec decoding by 1/(1 - A)) run as one compiled C
 kernel (`dsq_kernel`), which the first run builds with the system
 compiler `cc` into `$XDG_CACHE_HOME/mdrdf` (default `~/.cache/mdrdf`) and
 later runs and processes reuse. Without a C compiler, or if the build
@@ -54,9 +56,8 @@ MODES = ("awgn", "ecdq")
 ERASURES = ("none", "lose_desc1", "lose_desc2")
 
 # The time-domain filter design is fixed.
-# Source predictor A, which also synthesizes the source as an AR process:
-# at order 32 the cosine spectrum's prediction error is within 3% of its
-# entropy power.
+# The coder's source predictor A: at order 32 the cosine spectrum's
+# prediction error is within 3% of its entropy power.
 PREDICTOR_ORDER = 32
 # Mask predictor Q of the noise shaper 1/(1 - Q): the interleaved mask
 # steps at pi/2, and at order 96 the shaped noise follows a two-step mask
@@ -177,15 +178,6 @@ def welch_psd(x: NDArray[np.float64], segment: int) -> Spectrum:
     return Spectrum(np.interp(midpoint_omega(segment // 2), freqs, pxx))
 
 
-def _synth_source(spectrum: Spectrum, rng: np.random.Generator, n: int):
-    """AR(PREDICTOR_ORDER) realization of the spectrum, and its predictor taps."""
-    pred = optimal_predictor(spectrum, PREDICTOR_ORDER)
-    nz = np.nonzero(np.abs(pred.coeffs) > 1e-14)[0]  # trailing taps at rounding level
-    a = pred.coeffs[: nz[-1] + 1] if nz.size else np.zeros(0)
-    innov = rng.standard_normal(n) * math.sqrt(pred.innovation_variance)
-    return _allpole(innov, a), a
-
-
 def _allpole(x: NDArray[np.float64], a: NDArray[np.float64], stride: int = 1):
     """1/(1 - A(z^stride)) applied to x, each phase x[k::stride] on its own."""
     kernel = dsq_kernel.load()
@@ -199,8 +191,9 @@ def _allpole(x: NDArray[np.float64], a: NDArray[np.float64], stride: int = 1):
 
 
 def _on_fft_grid(mag: NDArray[np.float64], omega, n: int) -> NDArray[np.float64]:
-    """A zero-phase filter given by its magnitude on the midpoint grid, on
-    the rfft bins 2 pi k / n, k = 0 .. n // 2, of n samples."""
+    """A function of frequency given on the midpoint grid, a zero-phase
+    filter's magnitude or a power spectrum, read on the rfft bins
+    2 pi k / n, k = 0 .. n // 2, of n samples."""
     bins = np.arange(n // 2 + 1) * (2.0 * np.pi / n)
     return np.interp(bins, omega, mag)
 
@@ -292,20 +285,26 @@ def _encode(source: Spectrum, mask: Spectrum, F: NDArray[np.float64], stride: in
             cfg: SimConfig):
     """The encoder of all three structures.
 
-    Synthesizes the source and, from its one rfft X, applies the pre
-    filter F (on the rfft grid) and, at stride 2, interpolates to the
-    upsampled rate of the two interleaved descriptions, in one irfft.
-    The loop then predicts from the reconstructions `stride`, 2 `stride`,
-    ... samples back and injects noise shaped by the mask predictor:
-    vectorized in awgn mode, the sequential loop in ecdq mode. One seed
-    fixes every stream: [seed, 1] the source, [seed, 2] the awgn noise and
-    the stride-1 dither, [seed, 3] and [seed, 4] the dithers of the even
-    and the odd samples at stride 2. Returns (X, a, shaper, V, Y, indices),
-    with indices None in awgn mode.
+    Draws the source's rfft X as the rfft of n standard normals times the
+    square root of the source spectrum on the rfft bins: a periodic
+    Gaussian process whose spectrum is the source's on every bin. From X
+    it applies the pre filter F (on the rfft grid) and, at stride 2,
+    interpolates to the upsampled rate of the two interleaved descriptions,
+    in one irfft. The loop then predicts, with the source's order
+    PREDICTOR_ORDER predictor A, from the reconstructions `stride`,
+    2 `stride`, ... samples back and injects noise shaped by the mask
+    predictor: vectorized in awgn mode, the sequential loop in ecdq mode.
+    One seed fixes every stream: [seed, 1] the n white normals of the
+    source, [seed, 2] the awgn noise and the stride-1 dither, [seed, 3] and
+    [seed, 4] the dithers of the even and the odd samples at stride 2.
+    Returns (X, a, shaper, V, Y, indices), with indices None in awgn mode.
     """
     n = cfg.num_samples
-    x, a = _synth_source(source, np.random.default_rng([cfg.seed, 1]), n)
-    X = np.fft.rfft(x)
+    w = np.random.default_rng([cfg.seed, 1]).standard_normal(n)
+    X = np.fft.rfft(w) * np.sqrt(_on_fft_grid(source.values, source.omega, n))
+    pred = optimal_predictor(source, PREDICTOR_ORDER)
+    nz = np.nonzero(np.abs(pred.coeffs) > 1e-14)[0]  # trailing taps at rounding level
+    a = pred.coeffs[: nz[-1] + 1] if nz.size else np.zeros(0)
     shaper = noise_shaper(Spectrum(np.maximum(mask.values, MASK_FLOOR)), SHAPER_ORDER)
     u = np.fft.irfft(X * F if stride == 1 else _interpolate(X * F, n), stride * n)
     m = u.size

@@ -256,9 +256,9 @@ class TestCompiledLoop:
                 assert_allpole_matches_lfilter(y[k::stride], x[k::stride], a)
 
     def test_fallback_without_compiler(self, tmp_path, ar1, monkeypatch, fresh_kernel):
-        # ecdq on a white source, which needs no all-pole filter, so the
-        # indices are exact; awgn on AR(1), where the synthesis, the shaper
-        # and the decoder run as lfilter instead of the kernel
+        # ecdq on a white source, whose loop has nothing to predict, so the
+        # indices are exact; awgn on AR(1), where the shaper and the decoder
+        # run as lfilter instead of the kernel
         src = flat_spectrum(1.0, 512)
         noise = flat_noise(0.08, 0.15, 512)
         ecdq = SimConfig(num_samples=1 << 16, seed=9, mode="ecdq")
@@ -510,6 +510,28 @@ class TestComposedFilters:
             run_sd_mask_channel(ar1, flat_spectrum(0.1, ar1.grid_size), cfg)
             assert counts == {"rfft": 2, "irfft": 2}
 
+    def test_allpole_passes(self, ar1, monkeypatch):
+        # the source is drawn on the FFT grid, so the only all-pole passes
+        # are awgn mode's noise shaper and the codec's decoder
+        calls = []
+        real = sim._allpole
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "_allpole", counted)
+        noise = flat_noise(0.05, 0.2, ar1.grid_size)
+        mask = flat_spectrum(0.1, ar1.grid_size)
+        want = {"ecdq": {run_md_channel: 0, run_md_codec: 1, run_sd_mask_channel: 0},
+                "awgn": {run_md_channel: 1, run_md_codec: 2, run_sd_mask_channel: 1}}
+        for mode, runs in want.items():
+            cfg = SimConfig(num_samples=1 << 16, seed=49, mode=mode)
+            for run, count in runs.items():
+                calls.clear()
+                run(ar1, mask if run is run_sd_mask_channel else noise, cfg)
+                assert len(calls) == count, (mode, run.__name__)
+
 
 class TestFftGrid:
     @pytest.mark.parametrize("n", [5000, 5001])
@@ -522,6 +544,36 @@ class TestFftGrid:
         inner = (bins >= omega[0]) & (bins <= omega[-1])
         assert got.shape == (n // 2 + 1,)
         np.testing.assert_allclose(got[inner], 1.0 + bins[inner], rtol=1e-13)
+
+
+class TestDrawnSource:
+    """The source is a periodic Gaussian process with its spectrum S on
+    every rfft bin: X_k = W_k sqrt(S(omega_k)) for the rfft W of n white
+    normals."""
+
+    @pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1])
+    def test_periodogram_matches_spectrum(self, cosine, n):
+        # each complex bin's |X_k|^2 / (n S(omega_k)) is Exp(1), so the mean
+        # of a band of B bins over K seeds is Gamma(K B) / (K B): its
+        # relative standard deviation is 1 / sqrt(K B). The bound is that
+        # law's two-sided quantile at 1e-4 shared by the bands, and the last
+        # band ends next to the null of S at pi.
+        seeds, n_bands, alpha = 16, 64, 1e-4
+        S = _on_fft_grid(cosine.values, cosine.omega, n)
+        F = np.ones(n // 2 + 1)
+        mask = flat_spectrum(0.1, cosine.grid_size)
+        inner = np.arange(1, (n + 1) // 2)  # bin 0 and an even n's n / 2 are real
+        ratio = []
+        for seed in range(seeds):
+            X = sim._encode(cosine, mask, F, 1, SimConfig(num_samples=n, seed=seed))[0]
+            assert X[0].imag == 0.0
+            assert n % 2 or X[n // 2].imag == 0.0
+            ratio.append(np.abs(X[inner]) ** 2 / (n * S[inner]))
+        for band in np.array_split(np.asarray(ratio), n_bands, axis=1):
+            terms = band.size
+            lo, hi = stats.gamma.ppf([alpha / (2 * n_bands), 1 - alpha / (2 * n_bands)],
+                                     terms, scale=1.0 / terms)
+            assert lo < np.mean(band) < hi
 
 
 class TestSeedContract:
