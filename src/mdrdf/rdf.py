@@ -1,7 +1,8 @@
 """Full-spectrum rate-distortion points from per-frequency solutions.
 
 evaluate() sweeps the closed-form per-frequency solver across the grid and
-integrates rate and distortions by the midpoint rule; fit_lambdas() inverts
+integrates rate and distortions by the midpoint rule, summing each block of
+the solve as it goes, in the order np.mean would; fit_lambdas() inverts
 the map from multipliers to distortions, returning the exact edge point
 with one zero multiplier when a distortion constraint is slack; sweep()
 tabulates operating points for CSV emission.
@@ -69,9 +70,18 @@ def densities(S: NDArray[np.float64], noise: NoiseSpectra):
 
 
 def evaluate(spectrum: Spectrum, lam: LagrangePair) -> RdfPoint:
-    """Solve every grid frequency and integrate rate and distortions."""
-    noise = NoiseSpectra(*solve_spectrum(spectrum.values, lam))
-    rate, d_side, d_central = (float(np.mean(d)) for d in densities(spectrum.values, noise))
+    """Solve every grid frequency and integrate rate and distortions.
+
+    The integrals are the means of densities(). solve_spectrum sums them
+    block by block along numpy's pairwise-summation tree, so they equal
+    np.mean of the full-length densities bit for bit, and a long grid
+    never holds those densities in full.
+    """
+    *solved, sums = solve_spectrum(
+        spectrum.values, lam, integrand=lambda S, *noise: densities(S, NoiseSpectra(*noise))
+    )
+    noise = NoiseSpectra(*solved)
+    rate, d_side, d_central = (float(s) for s in sums / spectrum.grid_size)
     return RdfPoint(
         lambdas=lam,
         rate=rate,

@@ -10,7 +10,8 @@ is minimized over the triangle 0 <= tp <= tm <= S/2. The stationary tm is
 a root of a monic cubic whose real roots are all positive; the admissible
 root is the smallest real root, which is the paper's x2 when the
 discriminant is negative and x1 otherwise. Frequencies outside the
-support set fall back to the zero-rate corner tp = tm = S/2.
+support set fall back to the zero-rate corner tp = tm = S/2; those that
+fail the support test even at tm = S/2 are never put through the cubic.
 
 The solver takes the dominant root x1, which has no cancellation, and
 deflates it by Vieta's relations to get the smallest root from a
@@ -38,7 +39,8 @@ from .errors import DomainError
 # corner is tp = tm = S/2 and tp <= tm, so closeness is judged on tp: a
 # stationary tm at S/2 with a smaller tp is an edge point of positive rate.
 CORNER_SNAP_RTOL = 1e-12
-# solve_spectrum works through longer inputs this many bins at a time
+# solve_spectrum works through longer inputs in blocks of at most this many
+# bins, the leaves of numpy's pairwise-summation tree
 SOLVE_BLOCK = 8192
 
 
@@ -155,7 +157,7 @@ def solve_frequency(S: float, lam: LagrangePair) -> FrequencySolution:
     return FrequencySolution(float(tp[0]), float(tm[0]), bool(boundary[0]))
 
 
-def solve_spectrum(S_values: NDArray[np.float64], lam: LagrangePair):
+def solve_spectrum(S_values: NDArray[np.float64], lam: LagrangePair, *, integrand=None):
     """Optimal noise pairs over an array of source powers.
 
     Returns (theta_plus, theta_minus, on_boundary) arrays. At lambda1 = 0
@@ -166,33 +168,86 @@ def solve_spectrum(S_values: NDArray[np.float64], lam: LagrangePair):
 
     The solve is some 150 elementwise array operations. On a long input
     each of them would stream full-length temporaries through memory, so
-    an input longer than SOLVE_BLOCK bins is solved one block of
-    SOLVE_BLOCK bins at a time, a working set that stays in the L2 cache,
-    into preallocated outputs. Shorter inputs are solved in one pass.
-    Every operation is elementwise, so the outputs do not depend on the
-    block size, bit for bit. The input is checked once, before any block.
+    an input longer than SOLVE_BLOCK bins is split as numpy's pairwise
+    summation splits an array: n bins into the first (n // 2) // 8 * 8
+    and the rest, until each block has at most SOLVE_BLOCK bins, a
+    working set that stays in the L2 cache. Each block is solved into
+    preallocated outputs; shorter inputs are solved in one pass. Every
+    operation is elementwise, so the outputs do not depend on the block
+    size, bit for bit. The input is checked once, before any block.
+
+    integrand, if given, maps one block's (S, theta_plus, theta_minus,
+    on_boundary) to a sequence of per-bin arrays, and a fourth output is
+    returned: the array of their sums over the input. Each block's arrays
+    are summed by np.sum and the block sums added up the same tree, so
+    each sum equals np.sum of the full-length array bit for bit, and that
+    array is never built.
     """
     S = np.asarray(S_values, dtype=np.float64)
     if np.any(S <= 0.0):
         raise DomainError("source spectrum must be strictly positive")
     if S.size <= SOLVE_BLOCK:
-        return _solve_block(S, lam)
-    outputs = (np.empty(S.shape), np.empty(S.shape), np.empty(S.shape, dtype=bool))
-    flat = S.reshape(-1)
-    for start in range(0, S.size, SOLVE_BLOCK):
-        block = slice(start, start + SOLVE_BLOCK)
-        for out, result in zip(outputs, _solve_block(flat[block], lam)):
-            out.reshape(-1)[block] = result
-    return outputs
+        outputs = _solve_block(S, lam)
+        sums = _block_sums(integrand, S, outputs)
+    else:
+        outputs = (np.empty(S.shape), np.empty(S.shape), np.empty(S.shape, dtype=bool))
+        flat = S.reshape(-1)
+
+        def block_sums(block):
+            result = _solve_block(flat[block], lam)
+            for out, part in zip(outputs, result):
+                out.reshape(-1)[block] = part
+            return _block_sums(integrand, flat[block], result)
+
+        sums = _pairwise_sum(block_sums, 0, S.size)
+    return outputs if integrand is None else (*outputs, sums)
+
+
+def _pairwise_sum(block_sums, start: int, stop: int):
+    """block_sums(block) added up numpy's pairwise-summation tree of
+    [start, stop), whose leaves are the blocks of at most SOLVE_BLOCK bins.
+    SOLVE_BLOCK is at least numpy's own unrolled leaf of 128 elements, so
+    every split is one numpy makes."""
+    n = stop - start
+    if n <= SOLVE_BLOCK:
+        return block_sums(slice(start, stop))
+    middle = start + n // 2 // 8 * 8
+    return _pairwise_sum(block_sums, start, middle) + _pairwise_sum(block_sums, middle, stop)
+
+
+def _block_sums(integrand, S, noise):
+    """np.sum of each of integrand(S, *noise), or 0.0 with no integrand."""
+    if integrand is None:
+        return 0.0
+    return np.array([np.sum(d) for d in integrand(S, *noise)])
 
 
 def _solve_block(S: NDArray[np.float64], lam: LagrangePair):
-    """solve_spectrum on positive source powers, in one pass."""
+    """solve_spectrum on positive source powers, in one pass.
+
+    At lambda1 > 0 only the bins that pass the screen
+    2 lambda1 S + 8 lambda2 (S/2) > 1 are solved. The screen is the
+    support test of _solve_unscreened with psi_c at its upper bound S/2;
+    rounding is monotone, so a bin that fails it fails the support test
+    too, whatever its root, and is the zero-rate corner (S/2, S/2, True).
+    """
     l1, l2 = lam.lambda1, lam.lambda2
     half = 0.5 * S
     if l1 == 0.0:
         interior = 0.125 / l2 < half * (1.0 - CORNER_SNAP_RTOL)
         return np.where(interior, 0.125 / l2, half), half, ~interior
+    live = 2.0 * l1 * S + 8.0 * l2 * half > 1.0
+    if live.all():
+        return _solve_unscreened(S, lam)
+    theta_plus, theta_minus, boundary = np.copy(half), np.copy(half), np.ones(S.shape, dtype=bool)
+    theta_plus[live], theta_minus[live], boundary[live] = _solve_unscreened(S[live], lam)
+    return theta_plus, theta_minus, boundary
+
+
+def _solve_unscreened(S: NDArray[np.float64], lam: LagrangePair):
+    """_solve_block at lambda1 > 0 with every bin put through the cubic."""
+    l1, l2 = lam.lambda1, lam.lambda2
+    half = 0.5 * S
     psi = _psi_array(S, lam)
 
     valid = (psi > 0.0) & (psi <= half * (1.0 + CORNER_SNAP_RTOL))

@@ -4,6 +4,7 @@ import importlib
 from pathlib import Path
 
 import mdrdf
+from mdrdf.spectral_solver import SOLVE_BLOCK
 
 # adding or removing a public name is a decision: edit this list with it
 PUBLIC_NAMES = [
@@ -51,3 +52,19 @@ def test_traced_names_resolve(monkeypatch):
     assert layers._WRAPPED
     for module_name, attr, _ in layers._WRAPPED:
         assert hasattr(importlib.import_module(module_name), attr), (module_name, attr)
+
+
+def test_evaluate_solves_through_the_wrapped_name(monkeypatch):
+    # the traced run times the solver by wrapping mdrdf.rdf.solve_spectrum,
+    # so evaluate reaches the solve through that name, once, grid first
+    rdf = importlib.import_module("mdrdf.rdf")
+    solve, sizes = rdf.solve_spectrum, []
+
+    def spy(S, *args, **kwargs):
+        sizes.append(len(S))
+        return solve(S, *args, **kwargs)
+
+    monkeypatch.setattr(rdf, "solve_spectrum", spy)
+    n = 3 * SOLVE_BLOCK + 17
+    mdrdf.evaluate(mdrdf.flat_spectrum(1.0, n), mdrdf.LagrangePair(0.2, 0.3))
+    assert sizes == [n]

@@ -21,7 +21,7 @@ from mdrdf import (
 from mdrdf import rdf
 from mdrdf.errors import NoConvergence, TargetInfeasible
 from mdrdf.rdf import _analytic_seed, distortion_jacobian
-from mdrdf.spectral_solver import solve_spectrum
+from mdrdf.spectral_solver import SOLVE_BLOCK, solve_spectrum
 from mdrdf.verify import high_rate_approx
 
 from conftest import ar1_spectrum, cosine_spectrum
@@ -105,6 +105,39 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         assert peak <= 10 * 8 * n
+
+
+class TestIntegralsAreMeans:
+    """evaluate sums its densities block by block along numpy's
+    pairwise-summation tree, and so gets np.mean of the full-length
+    densities bit for bit. This fails if numpy ever sums another way."""
+
+    @pytest.mark.parametrize("n", [1, SOLVE_BLOCK, SOLVE_BLOCK + 1, 100000, 3 * SOLVE_BLOCK + 17])
+    @pytest.mark.parametrize(
+        "make, lambdas",
+        [(cosine_spectrum, (0.2380, 2.700)), (ar1_spectrum, (0.05, 0.5))],
+        ids=["cosine", "ar1"],
+    )
+    def test_equal_np_mean(self, n, make, lambdas):
+        spectrum = make(n=n)
+        pt = evaluate(spectrum, LagrangePair(*lambdas))
+        rate, d_side, d_central = rdf.densities(spectrum.values, pt.spectra)
+        assert pt.rate == float(np.mean(rate))
+        assert pt.d_side == float(np.mean(d_side))
+        assert pt.d_central == min(float(np.mean(d_central)), pt.d_side)
+
+    def test_fine_grid_holds_no_full_length_densities(self):
+        # the outputs, two float64 arrays and one bool array of 2^20 bins,
+        # take 17.8 MB; one block's densities and solver temporaries, not
+        # five full-length densities (41.9 MB), come on top
+        spectrum = cosine_spectrum(1 << 20)
+        tracemalloc.start()
+        try:
+            evaluate(spectrum, LagrangePair(0.2380, 2.700))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
 
 class TestRateDensity:

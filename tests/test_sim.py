@@ -39,8 +39,9 @@ from mdrdf.sim import (
     welch_psd,
 )
 from mdrdf.spectra import optimal_predictor
+from mdrdf.spectral_solver import SOLVE_BLOCK
 
-from conftest import band_means, ecdq_quantize, needs_cc
+from conftest import ar1_spectrum, band_means, ecdq_quantize, needs_cc
 
 
 def flat_noise(tp, tm, n):
@@ -716,6 +717,14 @@ class TestMdChannel:
         cfg = SimConfig(num_samples=1 << 17, seed=17)
         report = run_md_channel(flat_spectrum(1.0, n), flat_noise(0.02, 0.3, n), cfg)
         assert report.d_central < report.d_side_1 / 3.0
+
+    def test_rate_is_evaluate_rate_on_a_blocked_grid(self):
+        # the report takes np.mean of the rate density; evaluate sums it
+        # block by block along numpy's tree, to the same bits
+        spectrum = ar1_spectrum(n=3 * SOLVE_BLOCK + 17)
+        pt = evaluate(spectrum, LagrangePair(0.05, 0.5))
+        report = run_md_channel(spectrum, pt.spectra, SimConfig(num_samples=1 << 16, seed=16))
+        assert report.rate_analytical == pt.rate
 
 
 def spy_decoder(monkeypatch, erasure):

@@ -11,6 +11,8 @@ from mdrdf import spectral_solver
 from mdrdf.errors import DomainError
 from mdrdf.spectral_solver import (
     SOLVE_BLOCK,
+    _solve_block,
+    _solve_unscreened,
     cubic_coeffs,
     lagrangian_gradient,
     lagrangian_hessian,
@@ -462,3 +464,50 @@ class TestWideRangeProperty:
             assert mp_objective(S, lam, *ref) >= corner - slack
         elif not boundary:
             assert mp_objective(S, lam, tp, tm) <= corner + slack
+
+
+def screen_edge_bins(lam, ulps):
+    """Source powers the given numbers of ulps from the corner screen's edge
+    S (2 lambda1 + 4 lambda2) = 1."""
+    edge = 1.0 / (2.0 * lam.lambda1 + 4.0 * lam.lambda2)
+    return edge + np.asarray(ulps, dtype=np.float64) * np.spacing(edge)
+
+
+class TestCornerScreen:
+    """_solve_block solves only the bins that pass its corner screen, and
+    gives the bytes of _solve_unscreened, which solves every bin."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        l1=log_uniform.map(lambda u: 10.0 ** (8.0 * u)),
+        l2=st.one_of(st.just(0.0), log_uniform.map(lambda u: 10.0 ** (8.0 * u))),
+        ulps=st.lists(st.integers(-6, 6), min_size=1, max_size=24),
+        powers=st.lists(log_uniform.map(lambda u: 10.0 ** (6.0 * u)), max_size=24),
+    )
+    def test_matches_unscreened(self, l1, l2, ulps, powers):
+        lam = LagrangePair(l1, l2)
+        S = np.concatenate((screen_edge_bins(lam, ulps), powers))
+        screened = _solve_block(S, lam)
+        unscreened = _solve_unscreened(S, lam)
+        for got, want in zip(screened, unscreened):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lambdas", [(1e-8, 1e-8), (1.0, 0.0), (0.238, 2.7), (1e8, 1e8)])
+    def test_extreme_powers(self, lambdas):
+        # the cubic's coefficients overflow at S = 1e300 (ROADMAP item 4);
+        # screened or not, the same bins come out
+        lam = LagrangePair(*lambdas)
+        S = np.array([1e-300, 1e-200, 1e200, 1e300])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            screened = _solve_block(S, lam)
+            unscreened = _solve_unscreened(S, lam)
+        for got, want in zip(screened, unscreened):
+            assert got.tobytes() == want.tobytes()
+
+    def test_edge_bins_straddle_the_screen(self):
+        lam = LagrangePair(0.2380, 2.700)
+        S = screen_edge_bins(lam, range(-6, 7))
+        live = 2.0 * lam.lambda1 * S + 8.0 * lam.lambda2 * (0.5 * S) > 1.0
+        assert live.any() and not live.all()
+        assert np.all(_solve_block(S, lam)[2][~live])
