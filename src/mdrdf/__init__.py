@@ -20,7 +20,7 @@ from .spectra import (
     regularize,
     spectrum_from_predictor,
 )
-from .spectral_solver import FrequencySolution, LagrangePair, solve_frequency
+from .spectral_solver import LagrangePair, solve_spectrum
 from .white_md import (
     DistortionPair,
     ThetaPair,
@@ -33,7 +33,6 @@ from .white_md import (
 __all__ = [
     "DEFAULT_GRID_SIZE",
     "DistortionPair",
-    "FrequencySolution",
     "LagrangePair",
     "NoiseSpectra",
     "PredictorCoeffs",
@@ -51,7 +50,7 @@ __all__ = [
     "ozarow_rate",
     "r0",
     "regularize",
-    "solve_frequency",
+    "solve_spectrum",
     "spectrum_from_predictor",
     "sweep",
     "theta_to_distortions",

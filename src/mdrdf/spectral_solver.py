@@ -21,7 +21,10 @@ when lambda2 >> lambda1; the tests check it against a 60-digit reference
 for S in [1e-6, 1e6] and multipliers in [1e-8, 1e8]. This module is the
 production path only; the paper's closed forms (Cardano, the
 trigonometric roots, the appendix roots in lambda2) and the brute-force
-oracle live in mdrdf.verify. Functions accept scalars or numpy arrays
+oracle live in mdrdf.verify. solve_spectrum is the one per-frequency
+solve: it takes a scalar source power or an array of any shape, returns
+outputs of the input's shape, and gives each bin the same bits whatever
+that shape. The other functions accept scalars or numpy arrays
 elementwise.
 """
 
@@ -59,15 +62,6 @@ class LagrangePair:
         l1, l2 = self.lambda1, self.lambda2
         if not (0.0 <= l1 < math.inf and 0.0 <= l2 < math.inf and l1 + l2 > 0.0):
             raise ValueError("multipliers must be finite, nonnegative and not both zero")
-
-
-@dataclass(frozen=True)
-class FrequencySolution:
-    """Optimal noise pair at one frequency."""
-
-    theta_plus: float
-    theta_minus: float
-    on_boundary: bool
 
 
 def cubic_coeffs(S, lam: LagrangePair):
@@ -144,28 +138,21 @@ def _psi_array(S, lam: LagrangePair):
     return _newton_step(psi, a2, a1, a0)
 
 
-def solve_frequency(S: float, lam: LagrangePair) -> FrequencySolution:
-    """Globally optimal noise pair at one frequency.
+def solve_spectrum(S_values, lam: LagrangePair, *, integrand=None):
+    """Globally optimal noise pairs at a scalar or an array of source powers.
 
-    Interior stationary solution when it exists and the frequency is in
-    the support set; the zero-rate corner tp = tm = S/2 otherwise. A
-    one-element solve_spectrum call.
-    """
-    if S <= 0.0:
-        raise DomainError("S must be positive")
-    tp, tm, boundary = solve_spectrum(np.array([S], dtype=np.float64), lam)
-    return FrequencySolution(float(tp[0]), float(tm[0]), bool(boundary[0]))
-
-
-def solve_spectrum(S_values: NDArray[np.float64], lam: LagrangePair, *, integrand=None):
-    """Optimal noise pairs over an array of source powers.
-
-    Returns (theta_plus, theta_minus, on_boundary) arrays. At lambda1 = 0
+    Returns (theta_plus, theta_minus, on_boundary) in the input's shape:
+    0-d arrays for a scalar. Each bin is the interior stationary solution
+    when it exists and the frequency is in the support set, and the
+    zero-rate corner tp = tm = S/2 otherwise. At lambda1 = 0
     the cubic does not exist (its coefficients divide by lambda1^2) and
     the closed form tm = S/2, tp = min(1/(8 lambda2), S/2) is used. At
     lambda2 = 0 the cubic is (x - w)(x - S)^2 with w = 1/(4 lambda1), and
     its smallest root gives tp = tm = min(w, S/2).
 
+    The input is solved flattened to one dimension, so a bin's bits do not
+    depend on the input's shape: a 0-d input would go through numpy's
+    scalar math, which can round differently from its array loops.
     The solve is some 150 elementwise array operations. On a long input
     each of them would stream full-length temporaries through memory, so
     an input longer than SOLVE_BLOCK bins is split as numpy's pairwise
@@ -186,20 +173,21 @@ def solve_spectrum(S_values: NDArray[np.float64], lam: LagrangePair, *, integran
     S = np.asarray(S_values, dtype=np.float64)
     if np.any(S <= 0.0):
         raise DomainError("source spectrum must be strictly positive")
+    flat = S.reshape(-1)
     if S.size <= SOLVE_BLOCK:
-        outputs = _solve_block(S, lam)
-        sums = _block_sums(integrand, S, outputs)
+        outputs = _solve_block(flat, lam)
+        sums = _block_sums(integrand, flat, outputs)
     else:
-        outputs = (np.empty(S.shape), np.empty(S.shape), np.empty(S.shape, dtype=bool))
-        flat = S.reshape(-1)
+        outputs = (np.empty(S.size), np.empty(S.size), np.empty(S.size, dtype=bool))
 
         def block_sums(block):
             result = _solve_block(flat[block], lam)
             for out, part in zip(outputs, result):
-                out.reshape(-1)[block] = part
+                out[block] = part
             return _block_sums(integrand, flat[block], result)
 
         sums = _pairwise_sum(block_sums, 0, S.size)
+    outputs = tuple(out.reshape(S.shape) for out in outputs)
     return outputs if integrand is None else (*outputs, sums)
 
 

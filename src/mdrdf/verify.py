@@ -8,7 +8,8 @@ trigonometric roots for a negative one, the discriminant's product form
 over its roots in lambda2 and the appendix roots, the flat high-rate
 noise pair, and an independent brute-force oracle over the triangle.
 
-Each suite returns (name, passed, detail). These duplicate the heart of
+Each check_* suite returns (passed, detail), and run_all pairs it with
+the suite's name. These duplicate the heart of
 the test suite in a form that runs from an installed package without
 pytest, as a post-install smoke check.
 """
@@ -28,7 +29,7 @@ from .spectral_solver import (
     LagrangePair,
     lagrangian_gradient,
     lagrangian_hessian,
-    solve_frequency,
+    solve_spectrum,
 )
 from .white_md import ThetaPair, ozarow_rate, r0, theta_to_distortions
 
@@ -402,28 +403,27 @@ def high_rate_approx(lam: LagrangePair) -> ThetaPair:
 
 def check_high_rate_limits():
     lam = LagrangePair(1e4, 1e6)
-    for S in (0.5, 1.0, 2.0):
-        sol = solve_frequency(S, lam)
-        if abs(lam.lambda1 * sol.theta_minus - 0.25) >= 1e-2:
-            return False, f"lambda1*theta_minus off at S={S}"
-        if abs((lam.lambda1 + lam.lambda2) * sol.theta_plus - 0.25) >= 1e-2:
-            return False, f"(l1+l2)*theta_plus off at S={S}"
-    sol = solve_frequency(2.0, LagrangePair(4.0, 3.0))
-    tm_db = 10.0 * math.log10(sol.theta_minus)
-    tp_db = 10.0 * math.log10(sol.theta_plus)
+    S = np.array([0.5, 1.0, 2.0])
+    ref = high_rate_approx(lam)
+    for S_k, tp, tm, _ in zip(S, *solve_spectrum(S, lam)):
+        if lam.lambda1 * abs(tm - ref.theta_minus) >= 1e-2:
+            return False, f"lambda1*theta_minus off at S={S_k}"
+        if (lam.lambda1 + lam.lambda2) * abs(tp - ref.theta_plus) >= 1e-2:
+            return False, f"(l1+l2)*theta_plus off at S={S_k}"
+    tp, tm, _ = solve_spectrum(2.0, LagrangePair(4.0, 3.0))
+    tm_db = 10.0 * math.log10(tm)
+    tp_db = 10.0 * math.log10(tp)
     if abs(tm_db - (-12.04)) > 1.0 or abs(tp_db - (-14.47)) > 1.0:
         return False, f"asymptotes ({tm_db:.2f}, {tp_db:.2f}) dB out of range"
-    ref = high_rate_approx(LagrangePair(1e4, 1e6))
-    if abs(1e4 * ref.theta_minus - 0.25) > 1e-12:
-        return False, "high_rate_approx inconsistent"
     # lambda2 -> inf at fixed lambda1: tm tends to the smaller root of
     # 4 l1 tm^2 - (4 l1 S + 2) tm + S = 0
-    for S in (0.5, 2.0):
-        for l1 in (0.3, 2.0):
-            sol = solve_frequency(S, LagrangePair(l1, 1e8))
-            want = (2.0 * S * l1 + 1.0 - math.sqrt(1.0 + 4.0 * S * S * l1 * l1)) / (4.0 * l1)
-            if sol.on_boundary or abs(sol.theta_minus - want) > 1e-4 * want:
-                return False, f"fixed-lambda1 limit off at S={S}, l1={l1}"
+    S = np.array([0.5, 2.0])
+    for l1 in (0.3, 2.0):
+        _, tm, boundary = solve_spectrum(S, LagrangePair(l1, 1e8))
+        want = (2.0 * S * l1 + 1.0 - np.sqrt(1.0 + 4.0 * S * S * l1 * l1)) / (4.0 * l1)
+        off = boundary | (np.abs(tm - want) > 1e-4 * want)
+        if off.any():
+            return False, f"fixed-lambda1 limit off at S={S[off][0]}, l1={l1}"
     return True, "Prop-5 limits, the S=2 asymptotes and the fixed-lambda1 limit"
 
 
@@ -453,10 +453,10 @@ def check_gradient_residuals(count=500, seed=16):
     worst = 0.0
     for S, l1, l2 in _random_triples(np.random.default_rng(seed), count):
         lam = LagrangePair(l1, l2)
-        sol = solve_frequency(S, lam)
-        if sol.on_boundary:
+        tp, tm, boundary = solve_spectrum(S, lam)
+        if boundary:
             continue
-        gp, gm = lagrangian_gradient(S, sol.theta_plus, sol.theta_minus, lam)
+        gp, gm = lagrangian_gradient(S, tp, tm, lam)
         worst = max(worst, abs(gp), abs(gm))
     return worst < 1e-8, f"worst gradient residual {worst:.3g}"
 
@@ -465,9 +465,9 @@ def check_oracle_equivalence(count=60, seed=17):
     worst = 0.0
     for S, l1, l2 in _random_triples(np.random.default_rng(seed), count):
         lam = LagrangePair(l1, l2)
-        sol = solve_frequency(S, lam)
+        tp, tm, _ = solve_spectrum(S, lam)
         tp_b, tm_b = brute_force_frequency(S, lam, grid=200)
-        worst = max(worst, abs(sol.theta_plus - tp_b), abs(sol.theta_minus - tm_b))
+        worst = max(worst, abs(tp - tp_b), abs(tm - tm_b))
     return worst < 1e-6, f"worst |theta| gap {worst:.3g} over {count} triples"
 
 

@@ -21,7 +21,7 @@ from mdrdf import (
     fit_lambdas,
     flat_spectrum,
     ozarow_rate,
-    solve_frequency,
+    solve_spectrum,
     theta_to_distortions,
 )
 from mdrdf.sim import (
@@ -103,13 +103,12 @@ def test_criterion_3_white_source_reduction():
 def test_criterion_4_high_rate_limits():
     with criterion(4, "high-rate limits"):
         lam = LagrangePair(1e4, 1e6)
-        for S in (0.5, 1.0, 2.0):
-            sol = solve_frequency(S, lam)
-            assert abs(lam.lambda1 * sol.theta_minus - 0.25) < 1e-2
-            assert abs((lam.lambda1 + lam.lambda2) * sol.theta_plus - 0.25) < 1e-2
-        sol = solve_frequency(2.0, LagrangePair(4.0, 3.0))
-        assert abs(10 * math.log10(sol.theta_minus) - (-12.04)) < 1.0
-        assert abs(10 * math.log10(sol.theta_plus) - (-14.47)) < 1.0
+        tp, tm, _ = solve_spectrum(np.array([0.5, 1.0, 2.0]), lam)
+        assert np.all(np.abs(lam.lambda1 * tm - 0.25) < 1e-2)
+        assert np.all(np.abs((lam.lambda1 + lam.lambda2) * tp - 0.25) < 1e-2)
+        tp, tm, _ = solve_spectrum(2.0, LagrangePair(4.0, 3.0))
+        assert abs(10 * math.log10(tm) - (-12.04)) < 1.0
+        assert abs(10 * math.log10(tp) - (-14.47)) < 1.0
 
 
 def test_criterion_5_oracle_equivalence():
@@ -117,12 +116,12 @@ def test_criterion_5_oracle_equivalence():
         triples = random_triples(102, 1000)
         for S, l1, l2 in triples:
             lam = LagrangePair(l1, l2)
-            sol = solve_frequency(S, lam)
+            tp, tm, boundary = solve_spectrum(S, lam)
             tp_b, tm_b = brute_force_frequency(S, lam, grid=200)
-            assert abs(sol.theta_plus - tp_b) < 1e-6, (S, l1, l2)
-            assert abs(sol.theta_minus - tm_b) < 1e-6, (S, l1, l2)
-            if not sol.on_boundary:
-                gp, gm = lagrangian_gradient(S, sol.theta_plus, sol.theta_minus, lam)
+            assert abs(tp - tp_b) < 1e-6, (S, l1, l2)
+            assert abs(tm - tm_b) < 1e-6, (S, l1, l2)
+            if not boundary:
+                gp, gm = lagrangian_gradient(S, tp, tm, lam)
                 assert abs(gp) < 1e-8 and abs(gm) < 1e-8, (S, l1, l2)
         for S, l1, l2 in triples[:100]:
             assert count_mesh_minima(S, LagrangePair(l1, l2), grid=200) <= 1, (S, l1, l2)

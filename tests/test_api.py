@@ -1,4 +1,5 @@
-"""The package's public surface, and the names the benchmark's traced run wraps."""
+"""The package's public surface, the README's library example that uses it,
+and the names the benchmark's traced run wraps."""
 
 import importlib
 from pathlib import Path
@@ -10,7 +11,6 @@ from mdrdf.spectral_solver import SOLVE_BLOCK
 PUBLIC_NAMES = [
     "DEFAULT_GRID_SIZE",
     "DistortionPair",
-    "FrequencySolution",
     "LagrangePair",
     "NoiseSpectra",
     "PredictorCoeffs",
@@ -28,7 +28,7 @@ PUBLIC_NAMES = [
     "ozarow_rate",
     "r0",
     "regularize",
-    "solve_frequency",
+    "solve_spectrum",
     "spectrum_from_predictor",
     "sweep",
     "theta_to_distortions",
@@ -42,6 +42,15 @@ def test_public_names_pinned():
 def test_public_names_resolve():
     for name in mdrdf.__all__:
         assert hasattr(mdrdf, name), name
+
+
+def test_readme_library_example_runs(capsys):
+    # the example as written, so that a public-name change cannot break it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_traced_names_resolve(monkeypatch):

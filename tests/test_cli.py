@@ -699,6 +699,23 @@ class TestVerifyCommand:
         ]
         assert out.splitlines()[-1] == "3/8 property suites passed"
 
+    def test_crashing_suite_fails_and_the_rest_run(self, capsys, monkeypatch):
+        from mdrdf import verify
+
+        def crash():
+            raise RuntimeError("boom")
+
+        suites = [(name, crash if name == "high-rate-limits" else fn) for name, fn in verify.SUITES]
+        monkeypatch.setattr(verify, "SUITES", suites)
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 9
+        assert [line for line in lines if ": FAIL" in line] == [
+            "high-rate-limits: FAIL (exception: RuntimeError('boom'))"
+        ]
+        assert lines[-1] == "7/8 property suites passed"
+
     def test_no_perturbation_option(self, capsys):
         code, _, err = run_cli(["verify", "--perturb-cubic", "1e-6"], capsys)
         assert code == 2

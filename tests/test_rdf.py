@@ -402,25 +402,20 @@ class TestHighRateApprox:
             high_rate_approx(LagrangePair(0.0, 1.0))
 
     def test_limits_against_exact(self):
-        from mdrdf import solve_frequency
-
         lam = LagrangePair(1e4, 1e6)
-        for S in (0.5, 1.0, 2.0):
-            sol = solve_frequency(S, lam)
-            assert abs(lam.lambda1 * sol.theta_minus - 0.25) < 1e-2
-            assert abs((lam.lambda1 + lam.lambda2) * sol.theta_plus - 0.25) < 1e-2
+        tp, tm, _ = solve_spectrum(np.array([0.5, 1.0, 2.0]), lam)
+        assert np.all(np.abs(lam.lambda1 * tm - 0.25) < 1e-2)
+        assert np.all(np.abs((lam.lambda1 + lam.lambda2) * tp - 0.25) < 1e-2)
 
     def test_error_decreases_along_diagonal(self):
-        from mdrdf import solve_frequency
-
         errs = []
         for t in (10.0, 100.0, 1000.0):
             lam = LagrangePair(t, t)
-            sol = solve_frequency(1.0, lam)
+            tp, tm, _ = solve_spectrum(1.0, lam)
             approx = high_rate_approx(lam)
             errs.append(
-                abs(sol.theta_minus - approx.theta_minus) / approx.theta_minus
-                + abs(sol.theta_plus - approx.theta_plus) / approx.theta_plus
+                abs(tm - approx.theta_minus) / approx.theta_minus
+                + abs(tp - approx.theta_plus) / approx.theta_plus
             )
         assert errs[0] > errs[1] > errs[2]
 

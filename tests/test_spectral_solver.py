@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdrdf import LagrangePair, Spectrum, evaluate, solve_frequency
+from mdrdf import LagrangePair, Spectrum, evaluate, solve_spectrum
 from mdrdf import spectral_solver
 from mdrdf.errors import DomainError
 from mdrdf.spectral_solver import (
@@ -16,7 +16,6 @@ from mdrdf.spectral_solver import (
     cubic_coeffs,
     lagrangian_gradient,
     lagrangian_hessian,
-    solve_spectrum,
 )
 from mdrdf.verify import (
     _pq_closed_form,
@@ -56,10 +55,10 @@ class TestCubicCoefficients:
     def test_admissible_root_satisfies_cubic(self):
         for S, l1, l2 in random_triples(21, 300):
             lam = LagrangePair(l1, l2)
-            sol = solve_frequency(S, lam)
-            if sol.on_boundary:
+            _, tm, boundary = solve_spectrum(S, lam)
+            if boundary:
                 continue
-            assert rel_residual(discriminant(S, lam), sol.theta_minus) < 1e-9
+            assert rel_residual(discriminant(S, lam), tm) < 1e-9
 
 
 class TestDiscriminant:
@@ -120,10 +119,10 @@ class TestStationaryPoint:
     def test_gradient_vanishes_at_interior_solutions(self):
         for S, l1, l2 in random_triples(28, 400):
             lam = LagrangePair(l1, l2)
-            sol = solve_frequency(S, lam)
-            if sol.on_boundary:
+            tp, tm, boundary = solve_spectrum(S, lam)
+            if boundary:
                 continue
-            gp, gm = lagrangian_gradient(S, sol.theta_plus, sol.theta_minus, lam)
+            gp, gm = lagrangian_gradient(S, tp, tm, lam)
             assert abs(gp) < 1e-8
             assert abs(gm) < 1e-8
 
@@ -148,10 +147,10 @@ class TestStationaryPoint:
     def test_example1_limit_at_low_frequency(self, example1_point, cosine):
         # as omega -> 0 the cosine spectrum tends to 2; the single-frequency
         # solve at S=2 must agree with the first grid bin of the full solve
-        sol = solve_frequency(2.0, LagrangePair(0.2380, 2.700))
-        assert not sol.on_boundary
-        assert sol.theta_plus == pytest.approx(example1_point.spectra.theta_plus[0], rel=1e-4)
-        assert sol.theta_minus == pytest.approx(example1_point.spectra.theta_minus[0], rel=1e-4)
+        tp, tm, boundary = solve_spectrum(2.0, LagrangePair(0.2380, 2.700))
+        assert not boundary
+        assert tp == pytest.approx(example1_point.spectra.theta_plus[0], rel=1e-4)
+        assert tm == pytest.approx(example1_point.spectra.theta_minus[0], rel=1e-4)
 
     def test_uniqueness_no_second_interior_minimum(self):
         for S, l1, l2 in random_triples(29, 25):
@@ -160,27 +159,26 @@ class TestStationaryPoint:
     def test_fixed_lambda1_limit_of_second_multiplier(self):
         # as lambda2 grows at fixed lambda1, the stationary tm tends to
         # (2 S l1 + 1 - sqrt(1 + 4 S^2 l1^2)) / (4 l1)
-        for S in (0.5, 2.0):
-            for l1 in (0.3, 2.0):
-                sol = solve_frequency(S, LagrangePair(l1, 1e8))
-                want = (2 * S * l1 + 1 - math.sqrt(1 + 4 * S * S * l1 * l1)) / (4 * l1)
-                assert not sol.on_boundary
-                assert sol.theta_minus == pytest.approx(want, rel=1e-4)
+        S = np.array([0.5, 2.0])
+        for l1 in (0.3, 2.0):
+            _, tm, boundary = solve_spectrum(S, LagrangePair(l1, 1e8))
+            want = (2 * S * l1 + 1 - np.sqrt(1 + 4 * S * S * l1 * l1)) / (4 * l1)
+            assert not boundary.any()
+            assert tm == pytest.approx(want, rel=1e-4)
 
 
 class TestThetaPlus:
     def test_high_rate_limit(self):
         lam = LagrangePair(1e4, 1e6)
-        for S in (0.5, 1.0, 2.0):
-            sol = solve_frequency(S, lam)
-            assert sol.theta_plus == pytest.approx(0.25 / (lam.lambda1 + lam.lambda2), rel=0.01)
+        tp, _, _ = solve_spectrum(np.array([0.5, 1.0, 2.0]), lam)
+        assert tp == pytest.approx(0.25 / (lam.lambda1 + lam.lambda2), rel=0.01)
 
 
 class TestSupportSet:
     def test_always_supported_when_s_large(self):
         # 2 lambda1 S = 2 > 1 already, whatever lambda2 and the root
         for l2 in (0.0, 1e-3, 1.0, 1e3):
-            assert not solve_frequency(1.0, LagrangePair(1.0, l2)).on_boundary
+            assert not solve_spectrum(1.0, LagrangePair(1.0, l2))[2]
 
     def test_example1_zero_rate_band(self, example1_point):
         mask = example1_point.spectra.boundary_mask
@@ -195,10 +193,10 @@ class TestSupportSet:
         S, l1 = 1.0, 0.2
 
         def rate_density_of(l2):
-            sol = solve_frequency(S, LagrangePair(l1, l2))
-            if sol.on_boundary:
+            tp, tm, boundary = solve_spectrum(S, LagrangePair(l1, l2))
+            if boundary:
                 return 0.0, True
-            r = 0.5 * math.log(S / (2 * math.sqrt(sol.theta_plus * sol.theta_minus)))
+            r = 0.5 * math.log(S / (2 * math.sqrt(tp * tm)))
             return r, False
 
         lo, hi = 1e-3, 1.0
@@ -225,10 +223,10 @@ class TestLagrangianObjective:
     def test_interior_solution_beats_mesh(self):
         for S, l1, l2 in random_triples(30, 20):
             lam = LagrangePair(l1, l2)
-            sol = solve_frequency(S, lam)
-            if sol.on_boundary:
+            tp, tm, boundary = solve_spectrum(S, lam)
+            if boundary:
                 continue
-            val = lagrangian(S, sol.theta_plus, sol.theta_minus, lam)
+            val = lagrangian(S, tp, tm, lam)
             u = np.linspace(1e-3, 1.0, 60)
             v = np.linspace(1e-3 * S, 0.5 * S, 60)
             uu, vv = np.meshgrid(u, v)
@@ -252,16 +250,15 @@ class TestBruteForceOracle:
     def test_agrees_with_closed_form(self):
         for S, l1, l2 in random_triples(31, 80):
             lam = LagrangePair(l1, l2)
-            sol = solve_frequency(S, lam)
+            tp, tm, _ = solve_spectrum(S, lam)
             tp_b, tm_b = brute_force_frequency(S, lam, grid=200)
-            assert abs(sol.theta_plus - tp_b) < 1e-6
-            assert abs(sol.theta_minus - tm_b) < 1e-6
+            assert abs(tp - tp_b) < 1e-6
+            assert abs(tm - tm_b) < 1e-6
 
     def test_boundary_detection(self):
         # sub-threshold multipliers park the minimum at the corner
         S, l1, l2 = 1.0, 0.1, 0.01
-        sol = solve_frequency(S, LagrangePair(l1, l2))
-        assert sol.on_boundary
+        assert solve_spectrum(S, LagrangePair(l1, l2))[2]
         tp_b, tm_b = brute_force_frequency(S, LagrangePair(l1, l2), grid=150)
         assert tp_b == pytest.approx(S / 2, rel=1e-9)
         assert tm_b == pytest.approx(S / 2, rel=1e-9)
@@ -322,15 +319,25 @@ class TestAppendixRoots:
 
 class TestVectorizedSolve:
     def test_matches_scalar_path(self):
+        # a scalar solve of S[k] gives element k of the array solve, bit for
+        # bit, as 0-d arrays
         rng = np.random.default_rng(37)
         S = np.exp(rng.uniform(math.log(0.01), math.log(100), 200))
-        lam = LagrangePair(0.7, 2.3)
-        tp, tm, boundary = solve_spectrum(S, lam)
-        for k in range(S.size):
-            sol = solve_frequency(float(S[k]), lam)
-            assert sol.on_boundary == bool(boundary[k])
-            assert sol.theta_plus == pytest.approx(tp[k], rel=1e-12, abs=1e-15)
-            assert sol.theta_minus == pytest.approx(tm[k], rel=1e-12, abs=1e-15)
+        # numpy's scalar math rounded these bins one ulp off the array loops,
+        # at lambda = (0.7, 2.3) and (0.7, 0) respectively
+        S = np.append(S, [0.23948223328635088, 54.97287656619494])
+        # interior bins; slack side and central constraints; and a row whose
+        # bins below S = 1 / (2 lambda1 + 4 lambda2) fail the corner screen
+        for lambdas in [(0.7, 2.3), (0.0, 2.3), (0.7, 0.0), (0.05, 0.01)]:
+            lam = LagrangePair(*lambdas)
+            solved = solve_spectrum(S, lam)
+            for k in range(S.size):
+                for got, want in zip(solve_spectrum(float(S[k]), lam), solved):
+                    assert got.shape == ()
+                    assert got.dtype == want.dtype
+                    assert got == want[k], (S[k], lambdas)
+        screened = 2.0 * 0.05 * S + 4.0 * 0.01 * S <= 1.0
+        assert screened.any() and not screened.all()
 
     def test_triangle_membership(self):
         for S, l1, l2 in random_triples(38, 10):
